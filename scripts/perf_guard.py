@@ -9,18 +9,16 @@ consumer of the benchmark trajectory). Two checks, both over the
 intersection of record keys — records only one side has are ignored, so the
 baseline may carry extra full-protocol evidence records:
 
-- kernel_breakdown "total" records, keyed by
-  (case, S, layout, solver_path, branch_pack): the branch phase's share of
-  the fused loop must not exceed the baseline share by more than
+- kernel_breakdown "total" records, keyed by (case, S): the branch phase's
+  share of the fused loop must not exceed the baseline share by more than
   BRANCH_SHARE_TOLERANCE (absolute). Shares are time ratios, so they are
   robust to machine-speed differences between CI runners and the box the
   baseline was recorded on.
-- scenario_batch batched records, keyed by
-  (case, S, layout, branch_pack, shards): scenarios/second must stay above
-  SCEN_PER_SEC_RATIO x the baseline figure. The ratio is deliberately loose
-  (CI runners vary widely) — it catches structural regressions such as
-  losing the branch fast path or the fused launch geometry, not percent
-  drift.
+- scenario_batch batched records, keyed by (case, S, shards):
+  scenarios/second must stay above SCEN_PER_SEC_RATIO x the baseline
+  figure. The ratio is deliberately loose (CI runners vary widely) — it
+  catches structural regressions such as losing the branch fast path or
+  the fused launch geometry, not percent drift.
 - serve_slo records, keyed by (rate, case_mix, shards): end-to-end p99 must
   stay below SLO_P99_RATIO x baseline p99 + SLO_P99_SLACK_MS (the slack
   absorbs timer noise on near-zero smoke latencies), and the shed rate must
@@ -61,14 +59,7 @@ def breakdown_totals(records):
     for rec in records:
         if rec.get("bench") != "kernel_breakdown" or rec.get("phase") != "total":
             continue
-        key = (
-            rec.get("case"),
-            rec.get("S"),
-            rec.get("layout"),
-            rec.get("solver_path", "fixed"),
-            rec.get("branch_pack", 1),
-        )
-        out[key] = rec
+        out[(rec.get("case"), rec.get("S"))] = rec
     return out
 
 
@@ -77,14 +68,7 @@ def batched_throughput(records):
     for rec in records:
         if rec.get("bench") != "scenario_batch" or rec.get("engine") != "batched":
             continue
-        key = (
-            rec.get("case"),
-            rec.get("S"),
-            rec.get("layout"),
-            rec.get("branch_pack", 1),
-            rec.get("shards", 1),
-        )
-        out[key] = rec
+        out[(rec.get("case"), rec.get("S"), rec.get("shards", 1))] = rec
     return out
 
 

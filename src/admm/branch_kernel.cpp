@@ -9,11 +9,9 @@ namespace gridadmm::admm {
 
 namespace {
 
-/// One TRON solve through the selected path. The fixed path dispatches on
-/// the problem's (compile-time-known) dimension; both paths produce
-/// bit-identical iterates, so the selection is a pure speed knob.
-tron::TronResult run_tron(BranchWorkspace& ws, BranchSolverPath path, std::span<double> x) {
-  if (path == BranchSolverPath::kGeneric) return ws.generic.minimize(ws.problem, x);
+/// One TRON solve, dispatched on the problem's dimension: 4 variables for
+/// an unrated branch, 6 for a rated one.
+tron::TronResult run_tron(BranchWorkspace& ws, std::span<double> x) {
   if (x.size() == 4) return ws.solver4.minimize(ws.problem, x);
   return ws.solver6.minimize(ws.problem, x);
 }
@@ -39,39 +37,36 @@ void ensure_branch_lanes(std::vector<BranchWorkspace>& lanes, int workers,
 
 void branch_update_one(const ModelView& m, const AdmmParams& params, const ScenarioView& s, int l,
                        BranchWorkspace& ws) {
-  const auto st = static_cast<std::size_t>(s.stride);
-  if (s.branch_active != nullptr && s.branch_active[static_cast<std::size_t>(l) * st] == 0) {
-    return;  // outage
-  }
+  if (s.branch_active != nullptr && s.branch_active[l] == 0) return;  // outage
   const auto base = static_cast<std::size_t>(branch_pair_base(m.num_gens, l));
   double d[8], yk[8], rhok[8];
   for (std::size_t k = 0; k < 8; ++k) {
-    d[k] = s.z[(base + k) * st] - s.v[(base + k) * st];
-    yk[k] = s.y[(base + k) * st];
-    rhok[k] = s.rho[(base + k) * st];
+    d[k] = s.z[base + k] - s.v[base + k];
+    yk[k] = s.y[base + k];
+    rhok[k] = s.rho[base + k];
   }
   const double rate2 = m.rate2[l];
   ws.problem.bind(m.adm + 8 * l, m.vbound + 4 * l, rate2, d, yk, rhok);
 
   double x[6];
-  for (std::size_t a = 0; a < 4; ++a) x[a] = s.branch_x[(4 * static_cast<std::size_t>(l) + a) * st];
+  for (std::size_t a = 0; a < 4; ++a) x[a] = s.branch_x[4 * static_cast<std::size_t>(l) + a];
   const bool rated = rate2 > 0.0;
 
   if (!rated) {
     ws.problem.set_line_multipliers(0.0, 0.0, 0.0);
-    accumulate(ws.stats, run_tron(ws, params.branch_solver, {x, 4}));
+    accumulate(ws.stats, run_tron(ws, {x, 4}));
   } else {
     const auto sl = 2 * static_cast<std::size_t>(l);
-    x[4] = s.branch_s[sl * st];
-    x[5] = s.branch_s[(sl + 1) * st];
-    double lam_ij = s.branch_lambda[sl * st];
-    double lam_ji = s.branch_lambda[(sl + 1) * st];
+    x[4] = s.branch_s[sl];
+    x[5] = s.branch_s[sl + 1];
+    double lam_ij = s.branch_lambda[sl];
+    double lam_ji = s.branch_lambda[sl + 1];
     double rho_t = params.auglag_rho0 * std::max(rhok[0], 1.0);
     double eta = std::pow(rho_t, -0.1);
     for (int al = 0; al < params.auglag_max_iterations; ++al) {
       ++ws.stats.auglag_iterations;
       ws.problem.set_line_multipliers(lam_ij, lam_ji, rho_t);
-      accumulate(ws.stats, run_tron(ws, params.branch_solver, {x, 6}));
+      accumulate(ws.stats, run_tron(ws, {x, 6}));
       double cij = 0.0, cji = 0.0;
       ws.problem.constraint_values({x, 6}, cij, cji);
       const double viol = std::max(std::abs(cij), std::abs(cji));
@@ -85,27 +80,25 @@ void branch_update_one(const ModelView& m, const AdmmParams& params, const Scena
         eta = std::max(params.auglag_eta, std::pow(rho_t, -0.1));
       }
     }
-    s.branch_lambda[sl * st] = lam_ij;
-    s.branch_lambda[(sl + 1) * st] = lam_ji;
-    s.branch_s[sl * st] = x[4];
-    s.branch_s[(sl + 1) * st] = x[5];
+    s.branch_lambda[sl] = lam_ij;
+    s.branch_lambda[sl + 1] = lam_ji;
+    s.branch_s[sl] = x[4];
+    s.branch_s[sl + 1] = x[5];
   }
 
-  for (std::size_t a = 0; a < 4; ++a) {
-    s.branch_x[(4 * static_cast<std::size_t>(l) + a) * st] = x[a];
-  }
+  for (std::size_t a = 0; a < 4; ++a) s.branch_x[4 * static_cast<std::size_t>(l) + a] = x[a];
   const grid::FlowValues f = grid::eval_flows(
       grid::BranchAdmittance{m.adm[8 * l + 0], m.adm[8 * l + 1], m.adm[8 * l + 2], m.adm[8 * l + 3],
                              m.adm[8 * l + 4], m.adm[8 * l + 5], m.adm[8 * l + 6], m.adm[8 * l + 7]},
       x[0], x[1], x[2], x[3]);
-  s.u[(base + kPairPij) * st] = f[grid::kPij];
-  s.u[(base + kPairQij) * st] = f[grid::kQij];
-  s.u[(base + kPairPji) * st] = f[grid::kPji];
-  s.u[(base + kPairQji) * st] = f[grid::kQji];
-  s.u[(base + kPairWi) * st] = x[0] * x[0];
-  s.u[(base + kPairThi) * st] = x[2];
-  s.u[(base + kPairWj) * st] = x[1] * x[1];
-  s.u[(base + kPairThj) * st] = x[3];
+  s.u[base + kPairPij] = f[grid::kPij];
+  s.u[base + kPairQij] = f[grid::kQij];
+  s.u[base + kPairPji] = f[grid::kPji];
+  s.u[base + kPairQji] = f[grid::kQji];
+  s.u[base + kPairWi] = x[0] * x[0];
+  s.u[base + kPairThi] = x[2];
+  s.u[base + kPairWj] = x[1] * x[1];
+  s.u[base + kPairThj] = x[3];
 }
 
 void update_branches(device::Device& dev, const ComponentModel& model, const AdmmParams& params,

@@ -7,10 +7,8 @@
 // quadratic penalties, and the line limits p^2+q^2+s = 0 (s in [-rate^2, 0])
 // are handled by a LANCELOT-style augmented Lagrangian whose multipliers
 // persist across ADMM iterations (warm start). Each subproblem is solved by
-// TRON — by default the fixed-dimension devirtualized fast path
-// (tron/small_tron.hpp; AdmmParams::branch_solver selects the generic
-// reference instead, bit-identically). The batch runs one device block per
-// branch, exactly the ExaTron execution model of paper Section III-B; see
+// the fixed-dimension TRON (tron/small_tron.hpp). The batch runs one device
+// block per branch, exactly the ExaTron execution model of paper Section III-B; see
 // admm/branch_problem.hpp for the problem and per-lane workspace types.
 #pragma once
 

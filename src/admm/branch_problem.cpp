@@ -115,6 +115,7 @@ void BranchProblem::eval_gradient(std::span<const double> x, std::span<double> g
 
 template <typename Mat>
 void BranchProblem::eval_hessian_into(std::span<const double> x, Mat& hess) {
+  check_hessian_target<Mat>();
   grid::FlowValues f;
   grid::FlowGradients jac;
   grid::eval_flow_gradients(adm_, x[0], x[1], x[2], x[3], f, jac);
@@ -177,17 +178,19 @@ void BranchProblem::eval_hessian_into(std::span<const double> x, Mat& hess) {
   for (int a = 0; a < 4; ++a) {
     for (int b = 0; b < 4; ++b) hess(a, b) = scale_ * h4[a * 4 + b];
   }
-  if (rate2_ > 0.0) {
-    for (int a = 0; a < 4; ++a) {
-      hess(a, 4) = scale_ * rho_t_ * g_ij[a];
-      hess(4, a) = scale_ * rho_t_ * g_ij[a];
-      hess(a, 5) = scale_ * rho_t_ * g_ji[a];
-      hess(5, a) = scale_ * rho_t_ * g_ji[a];
+  if constexpr (kHessianDim<Mat> != 4) {
+    if (rate2_ > 0.0) {
+      for (int a = 0; a < 4; ++a) {
+        hess(a, 4) = scale_ * rho_t_ * g_ij[a];
+        hess(4, a) = scale_ * rho_t_ * g_ij[a];
+        hess(a, 5) = scale_ * rho_t_ * g_ji[a];
+        hess(5, a) = scale_ * rho_t_ * g_ji[a];
+      }
+      hess(4, 4) = scale_ * rho_t_;
+      hess(5, 5) = scale_ * rho_t_;
+      hess(4, 5) = 0.0;
+      hess(5, 4) = 0.0;
     }
-    hess(4, 4) = scale_ * rho_t_;
-    hess(5, 5) = scale_ * rho_t_;
-    hess(4, 5) = 0.0;
-    hess(5, 4) = 0.0;
   }
 }
 

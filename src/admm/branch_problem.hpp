@@ -3,12 +3,13 @@
 //
 // Variables are chi = (vi, vj, thi, thj) plus two line-limit slacks
 // (sij, sji) when the branch is rated, so dim() is exactly 4 or 6 — a
-// compile-time fact the fast path exploits: BranchWorkspace carries a
-// SmallTronSolver<4> and a SmallTronSolver<6> (tron/small_tron.hpp) next to
-// the generic TronSolver, and the branch kernel dispatches on
-// AdmmParams::branch_solver. The Hessian evaluation is a single template
+// compile-time fact the production path exploits: BranchWorkspace carries a
+// SmallTronSolver<4> and a SmallTronSolver<6> (tron/small_tron.hpp) and the
+// branch kernel dispatches on the dimension. The generic TronSolver stays a
+// test oracle (tests/test_tron.cpp) through the virtual TronProblem
+// interface. The Hessian evaluation is a single template
 // (eval_hessian_into) instantiated for both DenseMatrix and SmallMatrix
-// targets, so the two paths share one copy of the math and stay
+// targets, so the solver and its oracle share one copy of the math and stay
 // bit-identical.
 //
 // Split out of branch_kernel.hpp so AdmmState can own persistent
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <span>
 
+#include "common/error.hpp"
 #include "grid/flows.hpp"
 #include "linalg/dense.hpp"
 #include "linalg/small.hpp"
@@ -46,6 +48,13 @@ struct BranchUpdateStats {
   }
 };
 
+/// Compile-time dimension of a Hessian target: N for SmallMatrix<N>, 0 for
+/// the run-time-sized DenseMatrix.
+template <typename Mat>
+inline constexpr int kHessianDim = 0;
+template <int N>
+inline constexpr int kHessianDim<linalg::SmallMatrix<N>> = N;
+
 /// The TRON problem for one branch; exposed for unit testing.
 class BranchProblem final : public tron::TronProblem {
  public:
@@ -66,7 +75,8 @@ class BranchProblem final : public tron::TronProblem {
 
   /// One copy of the Hessian math for every matrix target: DenseMatrix for
   /// the generic TronSolver, SmallMatrix<4>/<6> for the fixed-dimension
-  /// fast path. `Mat` needs set_zero() and operator()(int, int).
+  /// path. `Mat` needs set_zero() and operator()(int, int). A 4x4 target
+  /// has no slack rows, so a rated problem is rejected before any write.
   template <typename Mat>
   void eval_hessian_into(std::span<const double> x, Mat& hess);
 
@@ -106,6 +116,15 @@ class BranchProblem final : public tron::TronProblem {
   void constraint_values(std::span<const double> x, double& cij, double& cji) const;
 
  private:
+  /// A rated branch solves in 6 variables; binding it to a 4-variable
+  /// Hessian target would write the slack rows out of bounds.
+  template <typename Mat>
+  void check_hessian_target() const {
+    if constexpr (kHessianDim<Mat> == 4) {
+      if (rate2_ > 0.0) throw GridError("BranchProblem: rated branch bound to a 4-variable solve");
+    }
+  }
+
   grid::BranchAdmittance adm_{};
   double vbound_[4] = {0, 0, 0, 0};
   double rate2_ = 0.0;
@@ -199,6 +218,7 @@ inline void BranchProblem::eval_gradient_prepared(std::span<const double> x,
 
 template <typename Mat>
 void BranchProblem::eval_hessian_prepared(std::span<const double> x, Mat& hess) const {
+  check_hessian_target<Mat>();
   hess.set_zero();
   double h4[16] = {0};
 
@@ -239,24 +259,25 @@ void BranchProblem::eval_hessian_prepared(std::span<const double> x, Mat& hess) 
   for (int a = 0; a < 4; ++a) {
     for (int b = 0; b < 4; ++b) hess(a, b) = scale_ * h4[a * 4 + b];
   }
-  if (rate2_ > 0.0) {
-    for (int a = 0; a < 4; ++a) {
-      hess(a, 4) = scale_ * rho_t_ * pgij_[a];
-      hess(4, a) = scale_ * rho_t_ * pgij_[a];
-      hess(a, 5) = scale_ * rho_t_ * pgji_[a];
-      hess(5, a) = scale_ * rho_t_ * pgji_[a];
+  if constexpr (kHessianDim<Mat> != 4) {
+    if (rate2_ > 0.0) {
+      for (int a = 0; a < 4; ++a) {
+        hess(a, 4) = scale_ * rho_t_ * pgij_[a];
+        hess(4, a) = scale_ * rho_t_ * pgij_[a];
+        hess(a, 5) = scale_ * rho_t_ * pgji_[a];
+        hess(5, a) = scale_ * rho_t_ * pgji_[a];
+      }
+      hess(4, 4) = scale_ * rho_t_;
+      hess(5, 5) = scale_ * rho_t_;
+      hess(4, 5) = 0.0;
+      hess(5, 4) = 0.0;
     }
-    hess(4, 4) = scale_ * rho_t_;
-    hess(5, 5) = scale_ * rho_t_;
-    hess(4, 5) = 0.0;
-    hess(5, 4) = 0.0;
   }
 }
 
 /// Per-worker-lane scratch for the branch updates: one problem instance and
-/// the three solver variants — the fixed-dimension pair (unrated branches
-/// solve in 4 variables, rated ones in 6) and the generic reference — so
-/// one lane serves every branch it processes whatever path is selected.
+/// the fixed-dimension solver pair (unrated branches solve in 4 variables,
+/// rated ones in 6), so one lane serves every branch it processes.
 /// Owned persistently (AdmmState / the batch engine's shards) and reused
 /// across all fused steps; the construction counter lets tests assert the
 /// hot path never rebuilds workspaces. The pad keeps the stats counters of
@@ -265,17 +286,15 @@ struct BranchWorkspace {
   BranchWorkspace() { created_counter().fetch_add(1, std::memory_order_relaxed); }
 
   BranchProblem problem;
-  tron::SmallTronSolver<4> solver4;  ///< fast path, unrated (no line limit)
-  tron::SmallTronSolver<6> solver6;  ///< fast path, rated (+ 2 slacks)
-  tron::TronSolver generic;          ///< reference path (virtual dispatch)
+  tron::SmallTronSolver<4> solver4;  ///< unrated (no line limit)
+  tron::SmallTronSolver<6> solver6;  ///< rated (+ 2 slacks)
   BranchUpdateStats stats;
   char pad[64] = {0};
 
-  /// Applies one TronOptions to all three solver variants.
+  /// Applies one TronOptions to both solvers.
   void bind_options(const tron::TronOptions& options) {
     solver4.options() = options;
     solver6.options() = options;
-    generic.options() = options;
   }
 
   /// Process-wide count of default constructions. Steady-state solves must

@@ -8,8 +8,8 @@
 //   - ScenarioView: one scenario's iterate plus the data that may differ
 //     per scenario (penalties rho, loads, pg bounds, branch-outage mask).
 // A single-scenario solve is simply a ScenarioView over AdmmState with the
-// model's own rho/load/bound buffers; a batched solve points each view at a
-// scenario-strided slice of a BatchAdmmState. Keeping one copy of the math
+// model's own rho/load/bound buffers; a batched solve points each view at
+// one scenario's contiguous slice of a BatchAdmmState. Keeping one copy of the math
 // guarantees the fused batch solve is iterate-for-iterate identical to S
 // independent solver runs.
 #pragma once
@@ -65,16 +65,10 @@ inline ModelView make_model_view(const ComponentModel& m) {
   return v;
 }
 
-/// Raw-pointer view of one scenario's iterate and per-scenario data.
-///
-/// `stride` is the distance (in elements) between consecutive logical
-/// elements of every per-scenario array: 1 for a contiguous slice (the
-/// single-scenario state and the scenario-major batch layout), kTileWidth
-/// for the interleaved batch layout, where lane l of a tile stores element
-/// k at [k * kTileWidth] past a lane-base pointer. All the update math
-/// below indexes through the stride, so one copy of the math serves the
-/// single-scenario kernels, the scenario-major batch, and the interleaved
-/// batch.
+/// Raw-pointer view of one scenario's iterate and per-scenario data. Every
+/// array is a contiguous slice (the single-scenario state, or one
+/// scenario's slice of a BatchAdmmState), so one copy of the math below
+/// serves both the single-scenario kernels and the fused batch.
 struct ScenarioView {
   // Mutable iterate (device-resident).
   double* u = nullptr;
@@ -98,37 +92,7 @@ struct ScenarioView {
   /// In-service flags, one per branch; nullptr = every branch in service.
   const unsigned char* branch_active = nullptr;
   double beta = 0.0;  ///< outer penalty on z = 0
-  int stride = 1;     ///< element spacing of every per-scenario array
 };
-
-/// The view one scenario lane to the right within an interleaved tile:
-/// every per-scenario pointer advances by one element (the lanes of a tile
-/// are adjacent in memory), the stride is unchanged. Callers must overwrite
-/// `beta` from the target lane's own view — it is a host scalar, not part
-/// of the strided arrays. Written as pure pointer arithmetic so a lane loop
-/// that inlines it has every address affine in the lane index (what lets
-/// the compiler vectorize the elementwise updates across scenario lanes).
-inline ScenarioView lane_shifted(ScenarioView v, int lane) {
-  v.u += lane;
-  v.v += lane;
-  v.z += lane;
-  v.y += lane;
-  v.lz += lane;
-  v.bus_w += lane;
-  v.bus_theta += lane;
-  v.gen_pg += lane;
-  v.gen_qg += lane;
-  v.branch_x += lane;
-  v.branch_s += lane;
-  v.branch_lambda += lane;
-  v.rho += lane;
-  v.pd += lane;
-  v.qd += lane;
-  v.pmin += lane;
-  v.pmax += lane;
-  if (v.branch_active != nullptr) v.branch_active += lane;
-  return v;
-}
 
 /// Binds the single-scenario state as a view (the model's own rho/load/bound
 /// buffers double as the per-scenario data).
@@ -160,24 +124,21 @@ inline ScenarioView make_scenario_view(const ComponentModel& m, AdmmState& s) {
 /// pairs are always active; branch pairs follow the outage mask.
 inline bool pair_active(const ModelView& m, const ScenarioView& s, int k) {
   if (s.branch_active == nullptr || k < 2 * m.num_gens) return true;
-  return s.branch_active[static_cast<std::size_t>((k - 2 * m.num_gens) / 8) *
-                         static_cast<std::size_t>(s.stride)] != 0;
+  return s.branch_active[(k - 2 * m.num_gens) / 8] != 0;
 }
 
 /// Closed-form generator dispatch update (one device block per generator).
 inline void generator_update_one(const ModelView& m, const ScenarioView& s, int g) {
-  const auto st = static_cast<std::size_t>(s.stride);
-  const std::size_t kp = static_cast<std::size_t>(gen_pair_base(g)) * st;
-  const std::size_t kq = kp + st;
-  const std::size_t gi = static_cast<std::size_t>(g) * st;
+  const int kp = gen_pair_base(g);
+  const int kq = kp + 1;
   // Stationarity: (2 c2 + rho) pg = rho (v - z) - y - c1, then clamp.
   const double p_star =
       (s.rho[kp] * (s.v[kp] - s.z[kp]) - s.y[kp] - m.c1[g]) / (2.0 * m.c2[g] + s.rho[kp]);
   const double q_star = (s.rho[kq] * (s.v[kq] - s.z[kq]) - s.y[kq]) / s.rho[kq];
-  const double p = std::clamp(p_star, s.pmin[gi], s.pmax[gi]);
+  const double p = std::clamp(p_star, s.pmin[g], s.pmax[g]);
   const double q = std::clamp(q_star, m.qmin[g], m.qmax[g]);
-  s.gen_pg[gi] = p;
-  s.gen_qg[gi] = q;
+  s.gen_pg[g] = p;
+  s.gen_qg[g] = q;
   s.u[kp] = p;
   s.u[kq] = q;
 }
@@ -186,24 +147,18 @@ inline void generator_update_one(const ModelView& m, const ScenarioView& s, int 
 /// `dual_slot`, when non-null, accumulates max_k |v_k - v_k^prev| for the
 /// caller's per-lane partial reduction.
 inline void bus_update_one(const ModelView& m, const ScenarioView& s, int i, double* dual_slot) {
-  const auto st = static_cast<std::size_t>(s.stride);
   // The proximal targets are m_k = u_k + z_k + y_k / rho_k: each duplicate
   // v_k minimizes rho_k/2 (v_k - m_k)^2 subject to the two balance rows.
-  auto rho_at = [&](int k) { return s.rho[static_cast<std::size_t>(k) * st]; };
-  auto target = [&](int k) {
-    const std::size_t ks = static_cast<std::size_t>(k) * st;
-    return s.u[ks] + s.z[ks] + s.y[ks] / s.rho[ks];
-  };
+  auto target = [&](int k) { return s.u[k] + s.z[k] + s.y[k] / s.rho[k]; };
   auto assign_v = [&](int k, double value) {
-    const std::size_t ks = static_cast<std::size_t>(k) * st;
     if (dual_slot != nullptr) {
       // Penalty-normalized dual residual |v - v_prev| (Boyd's scaled
       // form): comparable across rho presets and directly meaningful in
       // per-unit terms.
-      const double delta = std::abs(value - s.v[ks]);
+      const double delta = std::abs(value - s.v[k]);
       if (delta > *dual_slot) *dual_slot = delta;
     }
-    s.v[ks] = value;
+    s.v[k] = value;
   };
 
   double q_w = 0.0, c_w = 0.0;    // accumulated weight / linear term of w_i
@@ -214,9 +169,9 @@ inline void bus_update_one(const ModelView& m, const ScenarioView& s, int i, dou
   for (int e = m.gen_ptr[i]; e < m.gen_ptr[i + 1]; ++e) {
     const int kp = gen_pair_base(m.gen_list[e]);
     const int kq = kp + 1;
-    s_pp += 1.0 / rho_at(kp);
+    s_pp += 1.0 / s.rho[kp];
     aqc_p += target(kp);
-    s_qq += 1.0 / rho_at(kq);
+    s_qq += 1.0 / s.rho[kq];
     aqc_q += target(kq);
   }
   for (int e = m.adj_ptr[i]; e < m.adj_ptr[i + 1]; ++e) {
@@ -225,14 +180,14 @@ inline void bus_update_one(const ModelView& m, const ScenarioView& s, int i, dou
     const int kq = kp + 1;
     const int kw = kp + 4;
     const int kth = kp + 5;
-    s_pp += 1.0 / rho_at(kp);
+    s_pp += 1.0 / s.rho[kp];
     aqc_p -= target(kp);  // flow copies enter the P row with coefficient -1
-    s_qq += 1.0 / rho_at(kq);
+    s_qq += 1.0 / s.rho[kq];
     aqc_q -= target(kq);
-    q_w += rho_at(kw);
-    c_w += rho_at(kw) * target(kw);
-    q_th += rho_at(kth);
-    c_th += rho_at(kth) * target(kth);
+    q_w += s.rho[kw];
+    c_w += s.rho[kw] * target(kw);
+    q_th += s.rho[kth];
+    c_th += s.rho[kth] * target(kth);
   }
 
   // w_i carries the shunt terms: coefficient -gs in the P row, +bs in Q.
@@ -245,28 +200,28 @@ inline void bus_update_one(const ModelView& m, const ScenarioView& s, int i, dou
     aqc_q += m.bs[i] * (c_w / q_w);
   }
 
-  const double rhs_p = aqc_p - s.pd[static_cast<std::size_t>(i) * st];
-  const double rhs_q = aqc_q - s.qd[static_cast<std::size_t>(i) * st];
+  const double rhs_p = aqc_p - s.pd[i];
+  const double rhs_q = aqc_q - s.qd[i];
   const double det = s_pp * s_qq - s_pq * s_pq;
   const double mu_p = (s_qq * rhs_p - s_pq * rhs_q) / det;
   const double mu_q = (s_pp * rhs_q - s_pq * rhs_p) / det;
 
   const double w = q_w > 0.0 ? (c_w + m.gs[i] * mu_p - m.bs[i] * mu_q) / q_w : 1.0;
   const double theta = q_th > 0.0 ? c_th / q_th : 0.0;
-  s.bus_w[static_cast<std::size_t>(i) * st] = w;
-  s.bus_theta[static_cast<std::size_t>(i) * st] = theta;
+  s.bus_w[i] = w;
+  s.bus_theta[i] = theta;
 
   for (int e = m.gen_ptr[i]; e < m.gen_ptr[i + 1]; ++e) {
     const int kp = gen_pair_base(m.gen_list[e]);
     const int kq = kp + 1;
-    assign_v(kp, target(kp) - mu_p / rho_at(kp));
-    assign_v(kq, target(kq) - mu_q / rho_at(kq));
+    assign_v(kp, target(kp) - mu_p / s.rho[kp]);
+    assign_v(kq, target(kq) - mu_q / s.rho[kq]);
   }
   for (int e = m.adj_ptr[i]; e < m.adj_ptr[i + 1]; ++e) {
     const int kp = m.adj_kp[e];
     if (!pair_active(m, s, kp)) continue;
-    assign_v(kp, target(kp) + mu_p / rho_at(kp));
-    assign_v(kp + 1, target(kp + 1) + mu_q / rho_at(kp + 1));
+    assign_v(kp, target(kp) + mu_p / s.rho[kp]);
+    assign_v(kp + 1, target(kp + 1) + mu_q / s.rho[kp + 1]);
     assign_v(kp + 4, w);
     assign_v(kp + 5, theta);
   }
@@ -278,23 +233,21 @@ inline void bus_update_one(const ModelView& m, const ScenarioView& s, int i, dou
 inline void zy_update_one(const ModelView& m, const ScenarioView& s, int k, bool two_level,
                           double* slot_primal, double* slot_z) {
   if (!pair_active(m, s, k)) return;  // outaged pairs stay at zero
-  const std::size_t ks = static_cast<std::size_t>(k) * static_cast<std::size_t>(s.stride);
-  const double r = s.u[ks] - s.v[ks];
+  const double r = s.u[k] - s.v[k];
   if (two_level) {
-    s.z[ks] = -(s.lz[ks] + s.y[ks] + s.rho[ks] * r) / (s.beta + s.rho[ks]);
+    s.z[k] = -(s.lz[k] + s.y[k] + s.rho[k] * r) / (s.beta + s.rho[k]);
   }
-  const double rz = r + s.z[ks];
-  s.y[ks] += s.rho[ks] * rz;
+  const double rz = r + s.z[k];
+  s.y[k] += s.rho[k] * rz;
   if (std::abs(rz) > *slot_primal) *slot_primal = std::abs(rz);
-  if (std::abs(s.z[ks]) > *slot_z) *slot_z = std::abs(s.z[ks]);
+  if (std::abs(s.z[k]) > *slot_z) *slot_z = std::abs(s.z[k]);
 }
 
 /// Outer multiplier update lambda <- clamp(lambda + beta z) (projection (8)).
 inline void outer_multiplier_update_one(const ModelView& m, const ScenarioView& s, int k,
                                         double lambda_bound) {
   if (!pair_active(m, s, k)) return;
-  const std::size_t ks = static_cast<std::size_t>(k) * static_cast<std::size_t>(s.stride);
-  s.lz[ks] = std::clamp(s.lz[ks] + s.beta * s.z[ks], -lambda_bound, lambda_bound);
+  s.lz[k] = std::clamp(s.lz[k] + s.beta * s.z[k], -lambda_bound, lambda_bound);
 }
 
 }  // namespace gridadmm::admm

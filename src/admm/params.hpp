@@ -8,22 +8,6 @@
 
 namespace gridadmm::admm {
 
-/// Which TRON implementation the branch kernel dispatches to. The paths are
-/// bit-identical (asserted by tests); kGeneric exists as the reference the
-/// fast path is checked against and for problems outside the fixed 4/6-dim
-/// branch family.
-enum class BranchSolverPath {
-  kFixedDim,  ///< stack-state SmallTronSolver<4/6>, statically bound (default)
-  kGeneric,   ///< heap-state TronSolver with virtual problem dispatch
-};
-
-inline const char* branch_path_name(BranchSolverPath path) {
-  return path == BranchSolverPath::kGeneric ? "generic" : "fixed";
-}
-
-/// Inverse of branch_path_name for CLI parsing; rejects unknown names.
-BranchSolverPath branch_path_from_name(const std::string& name);
-
 struct AdmmParams {
   // ---- Penalties (Table I) ----
   double rho_pq = 10.0;    ///< penalty on power pairs (generation and flow)
@@ -68,8 +52,6 @@ struct AdmmParams {
   double auglag_eta = 1e-6;        ///< line-limit constraint tolerance
   int auglag_max_iterations = 6;   ///< multiplier updates per ADMM iteration
   tron::TronOptions tron;          ///< inner Newton controls
-  /// TRON implementation for the branch subproblems (see BranchSolverPath).
-  BranchSolverPath branch_solver = BranchSolverPath::kFixedDim;
 
   // ---- Misc ----
   bool two_level = true;  ///< false: plain one-level ADMM (Mhanna-style), no z

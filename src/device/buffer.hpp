@@ -19,11 +19,10 @@
 
 namespace gridadmm::device {
 
-/// Cache-line/SIMD alignment of every device allocation. The interleaved
-/// batch layout stores one component's values for a tile of scenario lanes
-/// as a contiguous row; 64-byte alignment keeps those rows (and the
-/// reduce_row_stride partial-reduction rows) from straddling cache lines,
-/// and gives the compiler an aligned base for vectorized lane loops.
+/// Cache-line alignment of every device allocation: keeps the per-worker
+/// partial-reduction rows (whole cache lines, see reduce_row_stride) from
+/// sharing cache lines, and gives the compiler an aligned base for
+/// vectorized loops.
 inline constexpr std::size_t kDeviceAlignment = 64;
 
 /// Minimal over-aligned allocator (models cudaMalloc's 256-byte guarantee,
@@ -166,8 +165,7 @@ inline void reset_allocation_peak() {
 /// only from kernels (we cannot enforce that in a simulation, but the API
 /// nudges call sites to treat `span()` as device-side and go through
 /// upload()/download() at the host boundary). Allocations are 64-byte
-/// aligned (kDeviceAlignment), so interleaved tile rows start on cache-line
-/// boundaries.
+/// aligned (kDeviceAlignment).
 template <typename T>
 class DeviceBuffer {
  public:
@@ -238,24 +236,11 @@ class DeviceBuffer {
   }
 
   /// Device -> host copy of the contiguous slice [offset, offset + host.size())
-  /// (counted as one transfer of host.size_bytes()). Lets scenario-strided
+  /// (counted as one transfer of host.size_bytes()). Lets scenario-major
   /// batch buffers extract one scenario without moving the whole batch.
   void download_slice(std::size_t offset, std::span<T> host) const {
     require(offset + host.size() <= data_.size(), "DeviceBuffer::download_slice out of range");
     std::copy_n(data_.begin() + static_cast<std::ptrdiff_t>(offset), host.size(), host.begin());
-    detail::record_download(host.size_bytes());
-  }
-
-  /// Device -> host gather of host.size() elements spaced `stride` apart
-  /// starting at `offset` (counted as one transfer of host.size_bytes(),
-  /// like a single strided cudaMemcpy2D). Lets the interleaved batch layout
-  /// — where one scenario lane's elements sit kTileWidth apart — extract
-  /// one scenario without moving the whole batch.
-  void download_strided(std::size_t offset, std::size_t stride, std::span<T> host) const {
-    require(stride > 0, "DeviceBuffer::download_strided: stride must be positive");
-    require(host.empty() || offset + (host.size() - 1) * stride < data_.size(),
-            "DeviceBuffer::download_strided out of range");
-    for (std::size_t i = 0; i < host.size(); ++i) host[i] = data_[offset + i * stride];
     detail::record_download(host.size_bytes());
   }
 

@@ -26,8 +26,7 @@
 // environment variable — "1"/"true"/"yes" enables for the process
 // lifetime; any other non-empty value enables AND names a JSON file the
 // trace is flushed to at process exit. ServiceOptions/BatchSolveOptions/
-// TrackingOptions carry a `trace` knob that enables the process tracer
-// (the established layout/branch_pack plumbing pattern).
+// TrackingOptions carry a `trace` knob that enables the process tracer.
 #pragma once
 
 #include <atomic>

@@ -11,7 +11,6 @@
 #include <optional>
 #include <vector>
 
-#include "admm/batch_state.hpp"
 #include "admm/params.hpp"
 #include "admm/solver.hpp"
 #include "device/device.hpp"
@@ -35,14 +34,6 @@ struct TrackingOptions {
   /// live batch-state memory is O(2 x profiles x case) instead of
   /// O(periods x profiles x case). Results are identical either way.
   bool ping_pong = true;
-  /// Batched mode only: batch memory layout of each wave's fused solve
-  /// (see scenario::BatchSolveOptions::layout). Interleaved vectorizes the
-  /// elementwise kernels across profiles; results are identical either way.
-  admm::BatchLayout layout = admm::BatchLayout::kScenarioMajor;
-  /// Batched mode only: branch-pack factor of the TRON branch phase (see
-  /// scenario::BatchSolveOptions::branch_pack). Results are identical for
-  /// every value.
-  int branch_pack = 1;
   /// Enables the process-wide obs::Tracer for the run: sequential mode
   /// emits one tracking.period span per period, batched mode traces each
   /// period's fused wave (see scenario::BatchSolveOptions::trace).

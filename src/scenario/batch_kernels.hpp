@@ -1,32 +1,19 @@
-// Fused multi-scenario ADMM kernels, one family per batch layout.
+// Fused multi-scenario ADMM kernels.
 //
-// Scenario-major: each kernel launches one grid over |slots| x components
-// blocks: block b serves component b % ncomp of scenario slots[b / ncomp],
-// reusing the per-component update math from admm/kernels_core.hpp. All S
-// scenarios' generator (resp. branch, bus, pair) updates share a single
-// launch, which is where the batch engine's speedup over S sequential
-// solver loops comes from: launch count per fused step is constant in S.
-//
-// Interleaved: the elementwise kernels (generator, bus, zy, outer
-// multiplier) launch component-major over |tile groups| x components
-// blocks instead — block b serves component b % ncomp of *every* active
-// lane of tile group b / ncomp. A full group runs a unit-stride lane loop
-// over kTileWidth adjacent scenarios (admm::lane_shifted keeps every
-// address affine in the lane index, so the compiler can vectorize the
-// shared update math across scenarios); partial groups — tiles with
-// retired lanes — iterate only their active lanes. Block count drops by
-// ~kTileWidth and each block touches one contiguous tile row per array.
-// The TRON-based branch kernel stays block-per-branch in both layouts (a
-// nonconvex iterative solve does not lane-vectorize); it reads the same
-// strided views.
+// Each kernel launches one grid over |slots| x components blocks: block b
+// serves component b % ncomp of scenario slots[b / ncomp], reusing the
+// per-component update math from admm/kernels_core.hpp. All S scenarios'
+// generator (resp. branch, bus, pair) updates share a single launch, which
+// is where the batch engine's speedup over S sequential solver loops comes
+// from: launch count per fused step is constant in S. The TRON-based branch
+// kernel is the ExaTron one-block-per-subproblem launch, widened to one
+// block per (scenario, branch).
 //
 // Residual reductions are per (worker lane, slot): `partial` arrays hold
 // `lanes` rows of `row_stride` doubles (row_stride >= |slots|, rounded up
 // so rows do not share cache lines); callers take the per-slot max over
-// lanes. Interleaved groups carry each lane's reduction column
-// (TileGroup::column), so per-scenario maxima are collected identically in
-// both layouts — max is order-free, which is why the two layouts produce
-// bit-identical residuals.
+// lanes (max is order-free, so the result does not depend on which lane
+// ran which block).
 #pragma once
 
 #include <cstdint>
@@ -38,7 +25,6 @@
 #include "admm/kernels_core.hpp"
 #include "admm/params.hpp"
 #include "device/device.hpp"
-#include "scenario/batch_plan.hpp"
 
 namespace gridadmm::scenario {
 
@@ -49,27 +35,10 @@ void batch_update_generators(device::Device& dev, const admm::ModelView& m,
                              std::span<const admm::ScenarioView> views,
                              std::span<const int> slots);
 
-/// Interleaved variant: component-major over tile groups (see file
-/// comment). `views` must be the interleaved per-slot views (stride
-/// kTileWidth).
-void batch_update_generators(device::Device& dev, const admm::ModelView& m,
-                             std::span<const admm::ScenarioView> views,
-                             std::span<const TileGroup> groups);
-
 /// `lanes` provides one reusable TRON workspace per device worker (resized
 /// and options-bound on first use); hoisting it out of the fused inner loop
 /// avoids per-iteration solver construction. Each call accumulates the
 /// lanes' work into `stats` and clears the lane counters.
-///
-/// `pack` is the branch-pack factor: the launch covers the
-/// |slots| * num_branches (scenario, branch) subproblems with
-/// ceil(total / pack) blocks, each block sweeping `pack` consecutive
-/// subproblems in a lane loop — the TRON analogue of the TileGroup block
-/// amortization of the elementwise kernels. Every subproblem is still
-/// solved exactly once by exactly one lane workspace and each solve is
-/// independent and deterministic, so results are bit-identical for every
-/// pack value; only per-block dispatch overhead changes. pack = 1 is the
-/// classic ExaTron one-block-per-branch launch.
 ///
 /// `slot_tron` (optional, for convergence telemetry): when non-empty it
 /// must hold dev.workers() rows of `row_stride` entries (row_stride >=
@@ -81,7 +50,7 @@ void batch_update_generators(device::Device& dev, const admm::ModelView& m,
 void batch_update_branches(device::Device& dev, const admm::ModelView& m,
                            const admm::AdmmParams& params,
                            std::span<const admm::ScenarioView> views, std::span<const int> slots,
-                           int pack, std::vector<admm::BranchWorkspace>& lanes,
+                           std::vector<admm::BranchWorkspace>& lanes,
                            admm::BranchUpdateStats* stats,
                            std::span<std::uint64_t> slot_tron = {}, int row_stride = 0);
 
@@ -89,39 +58,16 @@ void batch_update_buses(device::Device& dev, const admm::ModelView& m,
                         std::span<const admm::ScenarioView> views, std::span<const int> slots,
                         std::span<double> partial_dual, int row_stride);
 
-/// Interleaved variant: one block per (tile group, bus); lane loop over the
-/// group's active scenarios (the adjacency walk is scalar per lane — its
-/// trip counts are topology-shared, but the CSR indirection does not
-/// lane-vectorize — the win here is the block-count drop and tile-row
-/// locality).
-void batch_update_buses(device::Device& dev, const admm::ModelView& m,
-                        std::span<const admm::ScenarioView> views,
-                        std::span<const TileGroup> groups, std::span<double> partial_dual,
-                        int row_stride);
-
 void batch_update_zy(device::Device& dev, const admm::ModelView& m, bool two_level,
                      std::span<const admm::ScenarioView> views, std::span<const int> slots,
                      std::span<double> partial_primal, std::span<double> partial_z,
                      int row_stride);
 
-/// Interleaved variant: one block per (tile group, pair), vectorizable lane
-/// loop over the group's active scenarios.
-void batch_update_zy(device::Device& dev, const admm::ModelView& m, bool two_level,
-                     std::span<const admm::ScenarioView> views,
-                     std::span<const TileGroup> groups, std::span<double> partial_primal,
-                     std::span<double> partial_z, int row_stride);
-
 void batch_update_outer_multiplier(device::Device& dev, const admm::ModelView& m,
                                    std::span<const admm::ScenarioView> views,
                                    std::span<const int> slots, double lambda_bound);
 
-/// Interleaved variant: one block per (tile group, pair).
-void batch_update_outer_multiplier(device::Device& dev, const admm::ModelView& m,
-                                   std::span<const admm::ScenarioView> views,
-                                   std::span<const TileGroup> groups, double lambda_bound);
-
 /// Adaptive-penalty rescale: scenario slots[j]'s rho slice *= factors[j].
-/// Layout-aware: indexes through the state's BatchIndexer.
 void batch_scale_rho(device::Device& dev, const admm::ComponentModel& model,
                      admm::BatchAdmmState& state, std::span<const int> slots,
                      std::span<const double> factors);
@@ -131,8 +77,6 @@ void batch_scale_rho(device::Device& dev, const admm::ComponentModel& model,
 /// a slot of `src_state` and `dst` a slot of `dst_state`; passing the same
 /// state for both is the classic in-place chain, distinct states are the
 /// ping-pong wave copy (previous wave's buffer -> current wave's buffer).
-/// Layout-aware on both sides (each state's own BatchIndexer maps its
-/// slots), so ping-pong pairs chain correctly in either layout.
 struct ChainLink {
   int dst = -1;
   int src = -1;

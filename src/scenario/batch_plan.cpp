@@ -6,31 +6,6 @@
 
 namespace gridadmm::scenario {
 
-void pack_tile_groups(std::span<const int> slots, std::vector<TileGroup>& groups) {
-  groups.clear();
-  int current_tile = -1;
-  int prev_slot = -1;
-  for (std::size_t j = 0; j < slots.size(); ++j) {
-    const int slot = slots[j];
-    // The ascending precondition is what makes a full group's lane array
-    // the identity (lane[l] == l), which the kernels' fast path relies on
-    // when pairing lane indices with reduction columns — enforce it so a
-    // reordered active list fails loudly instead of miswiring residuals.
-    require(slot > prev_slot, "pack_tile_groups: slots must be strictly ascending");
-    prev_slot = slot;
-    const int tile = slot / admm::kTileWidth;
-    if (tile != current_tile) {
-      current_tile = tile;
-      groups.emplace_back();
-      groups.back().first_slot = tile * admm::kTileWidth;
-    }
-    TileGroup& group = groups.back();
-    group.lane[static_cast<std::size_t>(group.nlanes)] = slot % admm::kTileWidth;
-    group.column[static_cast<std::size_t>(group.nlanes)] = static_cast<int>(j);
-    ++group.nlanes;
-  }
-}
-
 BatchPlan BatchPlan::create(std::span<const Scenario> scenarios,
                             const std::vector<std::vector<int>>& waves, int num_shards,
                             bool ping_pong) {

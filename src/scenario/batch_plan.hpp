@@ -2,7 +2,7 @@
 //
 // A plan decides, before any device memory is touched, (a) which shard —
 // i.e. which device of a DevicePool — executes each scenario, and (b) which
-// slot of that shard's scenario-strided BatchAdmmState the scenario
+// slot of that shard's scenario-major BatchAdmmState the scenario
 // occupies. Execution then runs the existing fused kernels per shard,
 // concurrently, without any kernel-level changes.
 //
@@ -22,40 +22,12 @@
 // — constant in the horizon length — instead of O(S x case).
 #pragma once
 
-#include <array>
 #include <span>
 #include <vector>
 
-#include "admm/batch_state.hpp"
 #include "scenario/scenario.hpp"
 
 namespace gridadmm::scenario {
-
-/// One interleaved memory tile's worth of active scenario slots: the
-/// packing unit of the interleaved batch kernels. A fused step launches
-/// one block per (tile group, component); a full group (every lane of the
-/// tile active) takes the vectorized lane-loop fast path, a partial group
-/// — tiles with retired or padded lanes — iterates only its active lanes.
-/// `column[t]` is lane t's column in the caller's per-(worker lane, slot)
-/// partial-reduction rows, i.e. the slot's index in the active list the
-/// group was packed from, so per-scenario residual collection is identical
-/// to the scenario-major path.
-struct TileGroup {
-  int first_slot = 0;  ///< slot id of the tile's lane 0 (tile * kTileWidth)
-  int nlanes = 0;      ///< active lanes in this tile
-  std::array<int, admm::kTileWidth> lane{};    ///< active lane offsets, ascending
-  std::array<int, admm::kTileWidth> column{};  ///< per-lane reduction column
-
-  [[nodiscard]] bool full() const { return nlanes == admm::kTileWidth; }
-};
-
-/// Packs an active-slot list into tile groups (slot / kTileWidth), keeping
-/// each slot's position in `slots` as its reduction column. Slots arrive in
-/// ascending order (the batch engine's active lists preserve slot order as
-/// scenarios retire), so each tile contributes one group. `groups` is a
-/// reused scratch vector: cleared, never shrunk — the fused loop calls this
-/// every iteration without allocating once capacity is reached.
-void pack_tile_groups(std::span<const int> slots, std::vector<TileGroup>& groups);
 
 struct BatchPlan {
   int num_shards = 1;

@@ -5,7 +5,7 @@
 // partitions the scenario slots into shard ranges (deterministic
 // round-robin of chain roots over the pool's devices; chained scenarios
 // follow their parent so period-to-period chaining stays on one device).
-// Each shard owns a scenario-strided BatchAdmmState on its own device and
+// Each shard owns a scenario-major BatchAdmmState on its own device and
 // executes the existing fused kernels over its local slots — shards run
 // concurrently, one thread per shard, with no kernel-level changes. All
 // per-scenario control flow (inexact inner tolerance schedule, outer
@@ -48,24 +48,6 @@
 namespace gridadmm::scenario {
 
 struct BatchSolveOptions {
-  /// Batch memory layout (see admm/batch_state.hpp). kScenarioMajor keeps
-  /// each scenario's state contiguous; kInterleaved tiles the batch
-  /// component-major with the scenario lane innermost, so the elementwise
-  /// fused kernels run unit-stride (vectorizable) lane loops over
-  /// kTileWidth adjacent scenarios and launch ~kTileWidth fewer blocks.
-  /// Results are bit-identical either way (asserted by
-  /// tests/test_batch_admm.cpp); interleaved is the throughput layout for
-  /// S >= kTileWidth, scenario-major avoids tile padding for tiny batches.
-  admm::BatchLayout layout = admm::BatchLayout::kScenarioMajor;
-  /// Branch-pack factor of the TRON branch phase: each branch-phase block
-  /// sweeps this many consecutive (scenario, branch) subproblems, so the
-  /// launch issues ceil(active_branches / pack) blocks instead of one per
-  /// branch — the same per-block dispatch amortization TileGroups give the
-  /// elementwise phases. Results are bit-identical for every value
-  /// (asserted by tests/test_batch_admm.cpp); larger packs trade dynamic
-  /// load balance for lower dispatch overhead, which pays off when
-  /// blocks >> workers. Must be >= 1.
-  int branch_pack = 1;
   /// Solve the unmodified base case first (sequentially) and fan its full
   /// iterate out to every chain-root scenario as a warm start.
   bool warm_start_from_base = false;
@@ -120,7 +102,7 @@ class BatchAdmmSolver {
   ScenarioReport solve(const BatchSolveOptions& options = {});
 
   /// Extracts scenario s's solution (valid after solve()). Downloads only
-  /// scenario s's strided slices (4 transfers of one scenario's data, not
+  /// scenario s's slices (4 transfers of one scenario's data, not
   /// the whole batch); extracting every scenario is still cheaper via
   /// solutions(), which amortizes one full download per buffer. In
   /// ping-pong mode returns the copy captured at the scenario's wave end
@@ -176,11 +158,6 @@ class BatchAdmmSolver {
     std::vector<std::vector<admm::ScenarioView>> views;  ///< [buffer][slot]
     std::vector<admm::BranchWorkspace> branch_lanes;     ///< reused across fused steps
     admm::BranchUpdateStats branch_stats;
-    /// Interleaved tile-packing scratch, reused across fused steps (and
-    /// solves): pack_tile_groups clears but never shrinks them, so the hot
-    /// loop allocates nothing once their capacity is reached.
-    std::vector<TileGroup> tile_groups;
-    std::vector<TileGroup> outer_groups;
     /// Per-(lane, slot) TRON-iteration partial rows for convergence
     /// sampling, same shape as the residual partials; reused across steps
     /// and empty while sampling is off.
@@ -189,7 +166,7 @@ class BatchAdmmSolver {
     std::uint64_t fused_steps = 0;  ///< while-loop iterations executed
   };
 
-  void ensure_storage(bool ping_pong, admm::BatchLayout layout);
+  void ensure_storage(bool ping_pong);
   [[nodiscard]] int buffer_of(int s) const {
     return plan_.ping_pong ? plan_.wave_of[static_cast<std::size_t>(s)] % 2 : 0;
   }
@@ -224,7 +201,6 @@ class BatchAdmmSolver {
   std::vector<double> rho0_;       ///< model rho (host copy for staging)
   BatchPlan plan_;
   std::vector<Shard> shards_;
-  admm::BatchLayout layout_ = admm::BatchLayout::kScenarioMajor;  ///< of current storage
   bool storage_ready_ = false;
   bool solved_ = false;
   std::vector<Control> ctrl_;

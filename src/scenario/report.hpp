@@ -41,7 +41,7 @@ struct PhaseBreakdown {
   double branch_seconds = 0.0;     ///< fused TRON branch-update launches
   double bus_seconds = 0.0;        ///< fused bus-update launches
   double zy_seconds = 0.0;         ///< fused z+y launches
-  /// Host-side per-scenario work between kernels: tile packing, residual
+  /// Host-side per-scenario work between kernels: active-slot list, residual
   /// max-collection, convergence control flow.
   double residual_seconds = 0.0;
   /// Outer-transition launches: adaptive-rho rescale + outer multiplier.

@@ -172,7 +172,7 @@ SolveService::SolveService(grid::Network base, admm::AdmmParams params, ServiceO
     expo_options.port = options_.expo_port;
     expo_ = std::make_unique<obs::ExpoServer>(expo_options);
     expo_->handle("/metrics", [this] {
-      stats();  // refresh gauges so the exposition agrees with ServiceStats
+      refresh_gauges();
       return obs::ExpoResponse{200, "text/plain; version=0.0.4; charset=utf-8",
                                metrics_.expose_prometheus()};
     });
@@ -246,7 +246,7 @@ SolveService::~SolveService() {
   dispatcher_.join();
   for (auto& worker : shard_workers_) worker.join();
   if (!options_.metrics_snapshot_path.empty()) {
-    stats();  // final gauge refresh before the last snapshot line
+    refresh_gauges();  // final refresh before the last snapshot line
     append_metrics_snapshot();
   }
   if (attached_dump_) obs::MetricsDump::instance().detach(&metrics_);
@@ -277,7 +277,7 @@ void SolveService::maintenance_main() {
       next_eval = now + as_duration(options_.slo_eval_interval_seconds);
     }
     if (do_snapshot && now >= next_snapshot) {
-      stats();  // refresh gauges so each snapshot line is coherent
+      refresh_gauges();  // so each snapshot line is coherent
       append_metrics_snapshot();
       next_snapshot = now + as_duration(options_.metrics_snapshot_interval_seconds);
     }
@@ -809,8 +809,6 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
       obs::span_between("serve.stage", ctx.form_ns, stage_ns, "batch", ctx.batch_id);
     }
     scenario::BatchSolveOptions solve_options;
-    solve_options.layout = options_.layout;
-    solve_options.branch_pack = options_.branch_pack;
     solve_options.convergence_sample_interval = options_.convergence_sample_interval;
     solve_options.initial_iterates.assign(members.size(), nullptr);
     for (std::size_t s = 0; s < members.size(); ++s) {
@@ -920,8 +918,6 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
             solo.add(std::move(sc));
             scenario::BatchAdmmSolver rescue(solo, params_, &device);
             scenario::BatchSolveOptions rescue_options;
-            rescue_options.layout = options_.layout;
-            rescue_options.branch_pack = options_.branch_pack;
             rescue_options.convergence_sample_interval = options_.convergence_sample_interval;
             rescue_options.initial_iterates.assign(1, &iterate);
             device::LaunchStats rescue_launches;
@@ -1103,6 +1099,21 @@ void SolveService::drain() {
   cv_idle_.wait(lock, [&] { return queue_.empty() && pending_total_ == 0; });
 }
 
+void SolveService::refresh_gauges() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  refresh_gauges_locked();
+}
+
+void SolveService::refresh_gauges_locked() const {
+  int in_flight = 0;
+  for (const auto& shard : live_.per_shard) in_flight += shard.in_flight;
+  for (std::size_t d = 0; d < shard_health_.size(); ++d) {
+    m_shard_state_[d]->set(static_cast<double>(static_cast<int>(shard_health_[d].state)));
+  }
+  m_queue_depth_->set(static_cast<double>(queue_.size()));
+  m_in_flight_->set(static_cast<double>(in_flight));
+}
+
 ServiceStats SolveService::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   ServiceStats snapshot = live_;
@@ -1116,7 +1127,6 @@ ServiceStats SolveService::stats() const {
   for (std::size_t d = 0; d < shard_health_.size(); ++d) {
     snapshot.per_shard[d].state = static_cast<int>(shard_health_[d].state);
     snapshot.per_shard[d].consecutive_failures = shard_health_[d].consecutive_failures;
-    m_shard_state_[d]->set(static_cast<double>(snapshot.per_shard[d].state));
   }
   snapshot.cache_hits = cache_.hits();
   snapshot.cache_misses = cache_.misses();
@@ -1124,10 +1134,8 @@ ServiceStats SolveService::stats() const {
   snapshot.p50_latency = latency_quantile(latency_samples_, 0.50);
   snapshot.p95_latency = latency_quantile(latency_samples_, 0.95);
   snapshot.p99_latency = latency_quantile(latency_samples_, 0.99);
-  // Refresh the registry's gauges from the same locked snapshot, so the
-  // Prometheus exposition and ServiceStats agree at snapshot time.
-  m_queue_depth_->set(static_cast<double>(snapshot.queue_depth));
-  m_in_flight_->set(static_cast<double>(snapshot.in_flight));
+  // Same lock as the snapshot, so the exposition and ServiceStats agree.
+  refresh_gauges_locked();
   return snapshot;
 }
 

@@ -49,7 +49,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "admm/batch_state.hpp"
 #include "admm/params.hpp"
 #include "device/device.hpp"
 #include "device/pool.hpp"
@@ -81,15 +80,6 @@ struct ServiceOptions {
   int max_queue_depth = 256;
   /// Warm-start cache sizing and neighbor distance.
   CacheOptions cache;
-  /// Batch memory layout for the fused micro-batch solves (see
-  /// scenario::BatchSolveOptions::layout). Interleaved vectorizes the
-  /// elementwise kernels across the batch's requests; results are
-  /// identical either way.
-  admm::BatchLayout layout = admm::BatchLayout::kScenarioMajor;
-  /// Branch-pack factor of the fused micro-batch solves' TRON branch phase
-  /// (see scenario::BatchSolveOptions::branch_pack). Results are identical
-  /// for every value.
-  int branch_pack = 1;
   /// Devices in the service-owned pool. Micro-batches are routed to the
   /// least-loaded device, so up to num_devices batches solve concurrently.
   int num_devices = 1;
@@ -103,8 +93,7 @@ struct ServiceOptions {
   int latency_sample_capacity = 4096;
   /// Enables the process-wide obs::Tracer at construction, so the request
   /// lifecycle (admit -> queue -> dispatch -> per-shard solve -> fulfill)
-  /// lands in the Chrome trace. Equivalent to GRIDADMM_TRACE=1; the same
-  /// plumbing pattern as layout/branch_pack.
+  /// lands in the Chrome trace. Equivalent to GRIDADMM_TRACE=1.
   bool trace = false;
   /// Per-scenario convergence sampling interval of the fused micro-batch
   /// solves (see scenario::BatchSolveOptions::convergence_sample_interval);
@@ -310,6 +299,11 @@ class SolveService {
   void shard_worker_main(int shard);
   void maintenance_main();
   void append_metrics_snapshot();
+  /// Sets the registry's queue-depth, in-flight and shard-state gauges from
+  /// the live state, so the Prometheus exposition agrees with stats().
+  void refresh_gauges() const;
+  /// refresh_gauges() for a caller that already holds mu_.
+  void refresh_gauges_locked() const;
   /// Pops the front request's fingerprint group, up to max_batch_size, in
   /// arrival order. Caller holds mu_.
   std::vector<Pending> pop_batch_locked();

@@ -45,38 +45,6 @@ TEST(Admm, BranchLaneWorkspacesPersistAcrossSolves) {
   EXPECT_EQ(BranchWorkspace::created(), created_after_first);
 }
 
-TEST(Admm, GenericBranchPathMatchesFixedBitForBit) {
-  // The two TRON implementations must walk the identical iteration
-  // sequence on a full end-to-end solve (same residual doubles, same
-  // branch-work totals) — the single-scenario face of the batch bit-
-  // equality bar in test_batch_admm.cpp.
-  const auto net = grid::load_embedded_case("case9");
-  auto params = params_for_case("case9", 9);
-
-  params.branch_solver = BranchSolverPath::kFixedDim;
-  AdmmSolver fixed(net, params);
-  const auto fixed_stats = fixed.solve();
-
-  params.branch_solver = BranchSolverPath::kGeneric;
-  AdmmSolver generic(net, params);
-  const auto generic_stats = generic.solve();
-
-  EXPECT_EQ(fixed_stats.inner_iterations, generic_stats.inner_iterations);
-  EXPECT_EQ(fixed_stats.outer_iterations, generic_stats.outer_iterations);
-  EXPECT_DOUBLE_EQ(fixed_stats.primal_residual, generic_stats.primal_residual);
-  EXPECT_DOUBLE_EQ(fixed_stats.dual_residual, generic_stats.dual_residual);
-  EXPECT_EQ(fixed_stats.branch.tron_iterations, generic_stats.branch.tron_iterations);
-  EXPECT_EQ(fixed_stats.branch.cg_iterations, generic_stats.branch.cg_iterations);
-  EXPECT_EQ(fixed_stats.branch.function_evals, generic_stats.branch.function_evals);
-
-  const auto sol_fixed = fixed.solution();
-  const auto sol_generic = generic.solution();
-  for (int i = 0; i < net.num_buses(); ++i) {
-    EXPECT_DOUBLE_EQ(sol_fixed.vm[static_cast<std::size_t>(i)],
-                     sol_generic.vm[static_cast<std::size_t>(i)]);
-  }
-}
-
 TEST(Admm, SolvesCase14WithUnratedLines) {
   const auto net = grid::load_embedded_case("case14");
   AdmmSolver solver(net, params_for_case("case14", 14));

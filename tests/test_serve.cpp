@@ -103,41 +103,6 @@ TEST(SolveService, BatchedRequestsMatchDirectSolves) {
   }
 }
 
-TEST(SolveService, InterleavedLayoutOptionMatchesDirectSolves) {
-  // ServiceOptions::layout must reach the micro-batch solves: requests
-  // served from interleaved batches still reproduce direct AdmmSolver
-  // iteration counts exactly.
-  const auto net = grid::load_embedded_case("case9");
-  const auto params = admm::params_for_case("case9", net.num_buses());
-  const auto loads = base_loads(net);
-
-  ServiceOptions options;
-  options.max_batch_size = 4;
-  options.batching_window_seconds = 0.25;
-  options.cache.capacity = 0;
-  options.layout = admm::BatchLayout::kInterleaved;
-  SolveService service(net, params, options);
-
-  const std::vector<double> factors = {0.96, 1.0, 1.04};
-  std::vector<std::future<SolveResult>> futures;
-  for (const double f : factors) {
-    SolveRequest request;
-    request.pd = scaled(loads.pd, f);
-    request.qd = scaled(loads.qd, f);
-    futures.push_back(service.submit(std::move(request)));
-  }
-  for (std::size_t i = 0; i < factors.size(); ++i) {
-    SCOPED_TRACE("factor " + std::to_string(factors[i]));
-    const auto result = futures[i].get();
-    EXPECT_TRUE(result.converged);
-    admm::AdmmSolver direct(net, params);
-    direct.set_loads(scaled(loads.pd, factors[i]), scaled(loads.qd, factors[i]));
-    const auto direct_stats = direct.solve();
-    EXPECT_EQ(result.stats.inner_iterations, direct_stats.inner_iterations);
-    EXPECT_DOUBLE_EQ(result.stats.primal_residual, direct_stats.primal_residual);
-  }
-}
-
 TEST(SolveService, CoalescingIssuesFewerLaunchesThanSequentialForEightRequests) {
   // The acceptance bar: >= 8 concurrent requests coalesced by the service
   // must issue fewer total kernel launches than per-request sequential

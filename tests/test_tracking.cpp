@@ -141,36 +141,6 @@ TEST(Tracking, BatchedPingPongMatchesPersistentLayoutAndCapsMemory) {
   EXPECT_EQ(long_peak, pp_peak);
 }
 
-TEST(Tracking, InterleavedLayoutOptionMatchesDefaultRecords) {
-  // TrackingOptions::layout must reach the fused wave solves: the
-  // interleaved run walks the identical iteration sequence as the default
-  // scenario-major run, period for period.
-  const auto net = grid::load_embedded_case("case9");
-  const auto params = admm::params_for_case("case9", net.num_buses());
-
-  TrackingOptions options;
-  options.periods = 4;
-  options.run_ipm = false;
-  const auto major = run_batched_tracking(net, params, options, 2);
-  options.layout = admm::BatchLayout::kInterleaved;
-  const auto interleaved = run_batched_tracking(net, params, options, 2);
-
-  ASSERT_EQ(interleaved.profiles.size(), major.profiles.size());
-  for (std::size_t p = 0; p < major.profiles.size(); ++p) {
-    for (std::size_t t = 0; t < major.profiles[p].size(); ++t) {
-      SCOPED_TRACE("profile " + std::to_string(p) + " period " + std::to_string(t));
-      EXPECT_EQ(interleaved.profiles[p][t].admm_iterations,
-                major.profiles[p][t].admm_iterations);
-      EXPECT_EQ(interleaved.profiles[p][t].admm_converged,
-                major.profiles[p][t].admm_converged);
-      EXPECT_LT(std::abs(interleaved.profiles[p][t].admm_objective -
-                         major.profiles[p][t].admm_objective) /
-                    major.profiles[p][t].admm_objective,
-                1e-6);
-    }
-  }
-}
-
 TEST(Tracking, BatchedTrackingOverDevicePoolMatchesSingleDevice) {
   const auto net = grid::load_embedded_case("case9");
   const auto params = admm::params_for_case("case9", net.num_buses());
