@@ -62,7 +62,7 @@ void branch_update_one(const ModelView& m, const AdmmParams& params, const Scena
     double lam_ij = s.branch_lambda[sl];
     double lam_ji = s.branch_lambda[sl + 1];
     double rho_t = params.auglag_rho0 * std::max(rhok[0], 1.0);
-    double eta = std::pow(rho_t, -0.1);
+    double eta = ws.initial_eta(rho_t);
     for (int al = 0; al < params.auglag_max_iterations; ++al) {
       ++ws.stats.auglag_iterations;
       ws.problem.set_line_multipliers(lam_ij, lam_ji, rho_t);
@@ -87,10 +87,8 @@ void branch_update_one(const ModelView& m, const AdmmParams& params, const Scena
   }
 
   for (std::size_t a = 0; a < 4; ++a) s.branch_x[4 * static_cast<std::size_t>(l) + a] = x[a];
-  const grid::FlowValues f = grid::eval_flows(
-      grid::BranchAdmittance{m.adm[8 * l + 0], m.adm[8 * l + 1], m.adm[8 * l + 2], m.adm[8 * l + 3],
-                             m.adm[8 * l + 4], m.adm[8 * l + 5], m.adm[8 * l + 6], m.adm[8 * l + 7]},
-      x[0], x[1], x[2], x[3]);
+  // Reuses the flows of the solve's last evaluation when x is that point.
+  const grid::FlowValues f = ws.problem.flows({x, rated ? 6u : 4u});
   s.u[base + kPairPij] = f[grid::kPij];
   s.u[base + kPairQij] = f[grid::kQij];
   s.u[base + kPairPji] = f[grid::kPji];
@@ -113,7 +111,7 @@ void update_branches(device::Device& dev, const ComponentModel& model, const Adm
   ensure_branch_lanes(lanes, dev.workers(), params);
 
   dev.launch_with_lane(model.num_branches,
-                       [&lanes, &params, m, s](int l, int lane_id) {
+                       [&lanes, &params, &m, &s](int l, int lane_id) {
                          branch_update_one(m, params, s, l, lanes[lane_id]);
                        });
 

@@ -29,6 +29,7 @@ void BranchProblem::bind(const double* adm, const double* vbound, double rate2, 
   for (int k = 0; k < 8; ++k) rho_max = std::max(rho_max, rhok_[k]);
   rho_max_ = rho_max;
   scale_ = 1.0 / rho_max_;
+  prepared_ = false;
 }
 
 void BranchProblem::set_line_multipliers(double lam_ij, double lam_ji, double rho_t) {
@@ -199,9 +200,14 @@ template void BranchProblem::eval_hessian_into(std::span<const double>, linalg::
 template void BranchProblem::eval_hessian_into(std::span<const double>, linalg::SmallMatrix<6>&);
 
 void BranchProblem::constraint_values(std::span<const double> x, double& cij, double& cji) const {
-  const grid::FlowValues f = grid::eval_flows(adm_, x[0], x[1], x[2], x[3]);
+  const grid::FlowValues f = flows(x);
   cij = f[grid::kPij] * f[grid::kPij] + f[grid::kQij] * f[grid::kQij] + x[4];
   cji = f[grid::kPji] * f[grid::kPji] + f[grid::kQji] * f[grid::kQji] + x[5];
+}
+
+grid::FlowValues BranchProblem::flows(std::span<const double> x) const {
+  if (prepared_at(x)) return pf_;
+  return grid::eval_flows(adm_, x[0], x[1], x[2], x[3]);
 }
 
 }  // namespace gridadmm::admm

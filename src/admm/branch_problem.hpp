@@ -17,8 +17,12 @@
 // branch_kernel.hpp -> state.hpp).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <span>
 
 #include "common/error.hpp"
@@ -114,8 +118,19 @@ class BranchProblem final : public tron::TronProblem {
 
   /// Line-limit constraint values c = p^2 + q^2 + s at x (rated only).
   void constraint_values(std::span<const double> x, double& cij, double& cji) const;
+  /// Branch flows at x (grid::eval_flows of the bound admittance; the
+  /// prepared point's cached flows when x is bitwise that point).
+  [[nodiscard]] grid::FlowValues flows(std::span<const double> x) const;
 
  private:
+  /// True when x is bitwise the point of the last eval_f_prepared since
+  /// bind(): the cached flows are then exactly what eval_flows would
+  /// recompute from x.
+  [[nodiscard]] bool prepared_at(std::span<const double> x) const {
+    return prepared_ && x.size() <= std::size(px_) &&
+           std::memcmp(x.data(), px_, x.size_bytes()) == 0;
+  }
+
   /// A rated branch solves in 6 variables; binding it to a 4-variable
   /// Hessian target would write the slack rows out of bounds.
   template <typename Mat>
@@ -140,6 +155,8 @@ class BranchProblem final : public tron::TronProblem {
   double rho_max_ = 1.0;  ///< max(1, max_k rho_k), cached at bind time
 
   // Prepared-point cache (see the fused-evaluation contract above).
+  bool prepared_ = false;      ///< a point was prepared since bind()
+  double px_[6] = {0};         ///< the prepared x (dim() entries)
   grid::FlowTrig ptrig_;       ///< cos/sin/vv at the prepared x
   grid::FlowValues pf_;        ///< flow values
   grid::FlowGradients pjac_;   ///< flow Jacobian
@@ -160,6 +177,8 @@ inline double BranchProblem::eval_f_prepared(std::span<const double> x) {
   // gradient, and Hessian at this point. The flow values produced by
   // eval_flow_gradients are bit-identical to eval_flows' (same
   // subexpressions), so the objective below matches eval_f exactly.
+  std::copy(x.begin(), x.end(), px_);
+  prepared_ = true;
   ptrig_ = grid::flow_trig(x[0], x[1], x[2], x[3]);
   grid::eval_flow_gradients(adm_, x[0], x[1], ptrig_, pf_, pjac_);
   double obj = 0.0;
@@ -289,6 +308,21 @@ struct BranchWorkspace {
   tron::SmallTronSolver<4> solver4;  ///< unrated (no line limit)
   tron::SmallTronSolver<6> solver6;  ///< rated (+ 2 slacks)
   BranchUpdateStats stats;
+
+  /// std::pow(rho_t, -0.1), the augmented Lagrangian's first constraint
+  /// tolerance, memoised on the lane's last rho_t. Consecutive rated
+  /// branches almost always start from the same rho_t, and the same input
+  /// gives the same output, so the memo changes no value.
+  double initial_eta(double rho_t) {
+    if (rho_t != eta_rho_) {
+      eta_rho_ = rho_t;
+      eta_ = std::pow(rho_t, -0.1);
+    }
+    return eta_;
+  }
+  double eta_rho_ = std::numeric_limits<double>::quiet_NaN();
+  double eta_ = std::numeric_limits<double>::quiet_NaN();
+
   char pad[64] = {0};
 
   /// Applies one TronOptions to both solvers.

@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace gridadmm {
 
@@ -78,17 +79,22 @@ class ConvergenceError : public GridError {
   explicit ConvergenceError(const std::string& what) : GridError(what) {}
 };
 
+// The checks below take the message as a std::string_view: they sit on hot
+// paths (every TRON subproblem, sparse/KKT assembly loops), and a passing
+// check must not build a heap string from its literal. The std::string is
+// made only when the check throws.
+
 /// Throws GridError with `msg` if `cond` is false. Used for precondition
 /// checks that must stay active in release builds.
-inline void require(bool cond, const std::string& msg) {
-  if (!cond) throw GridError(msg);
+inline void require(bool cond, std::string_view msg) {
+  if (!cond) [[unlikely]] throw GridError(std::string(msg));
 }
 
 /// Throws ValidationError with `msg` if `cond` is false. Used for checks on
 /// caller-supplied inputs (scenario definitions, solve requests), so
 /// clients can distinguish malformed requests from internal faults.
-inline void require_valid(bool cond, const std::string& msg) {
-  if (!cond) throw ValidationError(msg);
+inline void require_valid(bool cond, std::string_view msg) {
+  if (!cond) [[unlikely]] throw ValidationError(std::string(msg));
 }
 
 }  // namespace gridadmm

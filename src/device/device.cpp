@@ -45,7 +45,7 @@ void Device::worker_main(int lane) {
   obs::set_thread_name("device.worker");
   std::uint64_t seen_generation = 0;
   while (true) {
-    const std::function<void(int, int)>* kernel = nullptr;
+    const KernelRef<void(int, int)>* kernel = nullptr;
     int nblocks = 0;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -89,7 +89,7 @@ void Device::worker_main(int lane) {
   }
 }
 
-void Device::run_job(const std::function<void(int, int)>& kernel, int nblocks) {
+void Device::run_job(const KernelRef<void(int, int)>& kernel, int nblocks) {
   if (nblocks < 0) throw GridError("Device::launch: negative block count");
   const std::lock_guard<std::mutex> serialize(launch_mu_);
   // Fault hook before any work: an injected failure models a launch the
@@ -140,12 +140,12 @@ void Device::run_job(const std::function<void(int, int)>& kernel, int nblocks) {
   stats_.busy_seconds += timer.seconds();
 }
 
-void Device::launch(int nblocks, const std::function<void(int)>& kernel) {
-  const std::function<void(int, int)> wrapped = [&kernel](int block, int) { kernel(block); };
-  run_job(wrapped, nblocks);
+void Device::launch(int nblocks, KernelRef<void(int)> kernel) {
+  const auto ignore_lane = [kernel](int block, int) { kernel(block); };
+  run_job(ignore_lane, nblocks);
 }
 
-void Device::launch_with_lane(int nblocks, const std::function<void(int, int)>& kernel) {
+void Device::launch_with_lane(int nblocks, KernelRef<void(int, int)> kernel) {
   run_job(kernel, nblocks);
 }
 

@@ -18,11 +18,13 @@
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <mutex>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace gridadmm::device {
@@ -50,6 +52,33 @@ inline LaunchStats operator-(const LaunchStats& a, const LaunchStats& b) {
   return d;
 }
 
+/// Non-owning reference to a kernel callable: an object pointer and a call
+/// thunk, built on the launching thread's stack. A launch blocks until every
+/// block has run, so the referenced callable (typically a lambda temporary
+/// in the launch expression) outlives every call. Unlike std::function it
+/// never copies the callable, so a launch allocates nothing however large
+/// the kernel's captures are.
+template <typename Signature>
+class KernelRef;
+
+template <typename... Args>
+class KernelRef<void(Args...)> {
+ public:
+  template <typename F>
+    requires(!std::same_as<std::remove_cvref_t<F>, KernelRef> &&
+             std::invocable<const F&, Args...>)
+  KernelRef(const F& kernel)  // implicit: launch sites pass lambdas
+      : object_(&kernel), call_([](const void* object, Args... args) {
+          (*static_cast<const F*>(object))(args...);
+        }) {}
+
+  void operator()(Args... args) const { call_(object_, args...); }
+
+ private:
+  const void* object_;
+  void (*call_)(const void*, Args...);
+};
+
 /// A persistent pool of workers exposing a CUDA-like bulk launch API.
 /// Thread-compatible: a Device may be shared, but launches are serialized.
 class Device {
@@ -66,11 +95,11 @@ class Device {
   /// Runs kernel(block) for block in [0, nblocks). Blocks until every
   /// kernel instance finished (CUDA launch + synchronize). Exceptions thrown
   /// by kernel instances are captured and the first one is rethrown here.
-  void launch(int nblocks, const std::function<void(int)>& kernel);
+  void launch(int nblocks, KernelRef<void(int)> kernel);
 
   /// Like launch(), but hands the worker lane index [0, workers) to the
   /// kernel so it can use per-lane scratch memory without synchronization.
-  void launch_with_lane(int nblocks, const std::function<void(int, int)>& kernel);
+  void launch_with_lane(int nblocks, KernelRef<void(int, int)> kernel);
 
   [[nodiscard]] const LaunchStats& stats() const { return stats_; }
   void reset_stats() { stats_ = LaunchStats{}; }
@@ -82,14 +111,14 @@ class Device {
 
  private:
   struct Job {
-    const std::function<void(int, int)>* kernel = nullptr;
+    const KernelRef<void(int, int)>* kernel = nullptr;
     int nblocks = 0;
     std::atomic<int> next_block{0};
     std::atomic<int> remaining{0};
   };
 
   void worker_main(int lane);
-  void run_job(const std::function<void(int, int)>& kernel, int nblocks);
+  void run_job(const KernelRef<void(int, int)>& kernel, int nblocks);
 
   std::vector<std::thread> threads_;
   std::mutex mu_;

@@ -64,12 +64,6 @@ double shifted_cholesky(DenseMatrix& a, int n, double initial_shift) {
   throw NumericalError("shifted_cholesky: could not make matrix positive definite");
 }
 
-double dot(std::span<const double> x, std::span<const double> y) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
-  return acc;
-}
-
 void axpy(double alpha, std::span<const double> x, std::span<double> y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] += alpha * x[i];
 }
@@ -77,8 +71,6 @@ void axpy(double alpha, std::span<const double> x, std::span<double> y) {
 void scal(double alpha, std::span<double> x) {
   for (double& v : x) v *= alpha;
 }
-
-double norm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
 
 double norm_inf(std::span<const double> x) {
   double acc = 0.0;

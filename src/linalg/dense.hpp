@@ -4,6 +4,7 @@
 // factorizations and no blocking.
 #pragma once
 
+#include <cmath>
 #include <span>
 #include <vector>
 
@@ -54,11 +55,17 @@ void cholesky_solve(const DenseMatrix& l, int n, std::span<double> x);
 /// tiny dense systems that arise in branch subproblems.
 double shifted_cholesky(DenseMatrix& a, int n, double initial_shift = 0.0);
 
-// BLAS-1 helpers over spans.
-double dot(std::span<const double> x, std::span<const double> y);
+// BLAS-1 helpers over spans. dot and norm2 are inline: the fixed-dimension
+// TRON calls them on 4-6 element spans, where an out-of-line call costs more
+// than the loop and hides the compile-time length from the optimizer.
+inline double dot(std::span<const double> x, std::span<const double> y) {
+  double acc = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) acc += x[i] * y[i];
+  return acc;
+}
+inline double norm2(std::span<const double> x) { return std::sqrt(dot(x, x)); }
 void axpy(double alpha, std::span<const double> x, std::span<double> y);  // y += alpha x
 void scal(double alpha, std::span<double> x);
-double norm2(std::span<const double> x);
 double norm_inf(std::span<const double> x);
 
 }  // namespace gridadmm::linalg

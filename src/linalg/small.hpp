@@ -6,9 +6,10 @@
 // factorization/solve helpers below are exact transcriptions of the
 // DenseMatrix versions in dense.cpp — same loop order, same expressions —
 // so a solver built on them produces bit-identical iterates to one built on
-// DenseMatrix (the property tests/test_tron.cpp asserts). Only the leading
-// n x n block (n <= N) participates, mirroring how the TRON subspace CG
-// factors the free-set block of a fixed-capacity matrix.
+// DenseMatrix (the property tests/test_tron.cpp asserts); the shifted
+// Cholesky differs only in what it copies, not in what it computes. Only
+// the leading n x n block (n <= N) participates, mirroring how the TRON
+// subspace CG factors the free-set block of a fixed-capacity matrix.
 #pragma once
 
 #include <algorithm>
@@ -69,19 +70,25 @@ void cholesky_solve(const SmallMatrix<N>& l, int n, std::span<double> x) {
 }
 
 /// Cholesky with automatic diagonal shift (see the DenseMatrix overload):
-/// factors A + shift*I, growing `shift` geometrically until the
-/// factorization succeeds. Returns the shift used.
+/// factors A + shift*I into `l`, growing `shift` geometrically until the
+/// factorization succeeds. Returns the shift used. `a` is only read. Each
+/// attempt copies the lower triangle of the leading n x n block of A (all
+/// that cholesky_factorize and cholesky_solve read) into `l` and adds the
+/// shift to its diagonal: the same values the DenseMatrix overload factors
+/// after restoring its full saved copy, so the factor is bit-identical
+/// without the save and restore copies.
 template <int N>
-double shifted_cholesky(SmallMatrix<N>& a, int n, double initial_shift = 0.0) {
-  // Keep a copy so failed attempts can be retried with a larger shift.
-  SmallMatrix<N> saved = a;
+double shifted_cholesky(const SmallMatrix<N>& a, int n, SmallMatrix<N>& l,
+                        double initial_shift = 0.0) {
   double max_diag = 0.0;
-  for (int i = 0; i < n; ++i) max_diag = std::max(max_diag, std::abs(saved(i, i)));
+  for (int i = 0; i < n; ++i) max_diag = std::max(max_diag, std::abs(a(i, i)));
   double shift = initial_shift;
   for (int attempt = 0; attempt < 60; ++attempt) {
-    a = saved;
-    for (int i = 0; i < n; ++i) a(i, i) += shift;
-    if (cholesky_factorize(a, n)) return shift;
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < i; ++j) l(i, j) = a(i, j);
+      l(i, i) = a(i, i) + shift;
+    }
+    if (cholesky_factorize(l, n)) return shift;
     shift = shift == 0.0 ? std::max(1e-10, 1e-10 * max_diag) : shift * 4.0;
   }
   throw NumericalError("shifted_cholesky: could not make matrix positive definite");

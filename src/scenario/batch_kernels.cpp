@@ -11,7 +11,7 @@ using admm::ScenarioView;
 void batch_update_generators(device::Device& dev, const ModelView& m,
                              std::span<const ScenarioView> views, std::span<const int> slots) {
   const int ng = m.num_gens;
-  dev.launch(static_cast<int>(slots.size()) * ng, [=](int b) {
+  dev.launch(static_cast<int>(slots.size()) * ng, [&m, views, slots, ng](int b) {
     const int s = slots[static_cast<std::size_t>(b / ng)];
     admm::generator_update_one(m, views[static_cast<std::size_t>(s)], b % ng);
   });
@@ -28,7 +28,7 @@ void batch_update_branches(device::Device& dev, const ModelView& m,
 
   // One block per (scenario, branch) subproblem. Each solve is independent,
   // so which worker lane runs it cannot change any iterate.
-  dev.launch_with_lane(static_cast<int>(slots.size()) * nl, [&lanes, &params, m, views, slots,
+  dev.launch_with_lane(static_cast<int>(slots.size()) * nl, [&lanes, &params, &m, views, slots,
                                                               nl, slot_tron,
                                                               row_stride](int b, int lane_id) {
     const int j = b / nl;
@@ -53,7 +53,8 @@ void batch_update_buses(device::Device& dev, const ModelView& m,
                         std::span<double> partial_dual, int row_stride) {
   const int nb = m.num_buses;
   std::fill(partial_dual.begin(), partial_dual.end(), 0.0);
-  dev.launch_with_lane(static_cast<int>(slots.size()) * nb, [=](int b, int lane) {
+  dev.launch_with_lane(static_cast<int>(slots.size()) * nb, [&m, views, slots, nb, partial_dual,
+                                                              row_stride](int b, int lane) {
     const int j = b / nb;
     const int s = slots[static_cast<std::size_t>(j)];
     double* slot = &partial_dual[static_cast<std::size_t>(lane) * row_stride + j];
@@ -68,7 +69,9 @@ void batch_update_zy(device::Device& dev, const ModelView& m, bool two_level,
   const int np = m.num_pairs;
   std::fill(partial_primal.begin(), partial_primal.end(), 0.0);
   std::fill(partial_z.begin(), partial_z.end(), 0.0);
-  dev.launch_with_lane(static_cast<int>(slots.size()) * np, [=](int b, int lane) {
+  dev.launch_with_lane(static_cast<int>(slots.size()) * np,
+                       [&m, views, slots, np, two_level, partial_primal, partial_z,
+                        row_stride](int b, int lane) {
     const int j = b / np;
     const int s = slots[static_cast<std::size_t>(j)];
     const std::size_t base = static_cast<std::size_t>(lane) * row_stride + j;
@@ -81,7 +84,7 @@ void batch_update_outer_multiplier(device::Device& dev, const ModelView& m,
                                    std::span<const ScenarioView> views,
                                    std::span<const int> slots, double lambda_bound) {
   const int np = m.num_pairs;
-  dev.launch(static_cast<int>(slots.size()) * np, [=](int b) {
+  dev.launch(static_cast<int>(slots.size()) * np, [&m, views, slots, np, lambda_bound](int b) {
     const int s = slots[static_cast<std::size_t>(b / np)];
     admm::outer_multiplier_update_one(m, views[static_cast<std::size_t>(s)], b % np,
                                       lambda_bound);

@@ -33,11 +33,17 @@
 //     it installs), so the minor loop's q_s and the acceptance test's
 //     predicted reduction reuse the tracked double instead of re-running
 //     the N^2 quadratic form on bitwise-identical inputs.
+//
+// A solve touches no heap and copies nothing it does not need: the subspace
+// CG runs as one instance per free-set size (compile-time trip counts, same
+// body), and its shifted Cholesky factors straight from the reduced Hessian,
+// copying only the triangle each attempt factors.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <utility>
 
 #include "common/error.hpp"
 #include "linalg/dense.hpp"
@@ -70,6 +76,9 @@ class SmallTronSolver {
   double cauchy_step(double alpha, double* s) const;
   /// Trust-region PCG on the free subspace; returns CG iterations.
   int subspace_cg(int nf, double radius, double* w, bool& hit_boundary);
+  /// subspace_cg's body for a compile-time free-set size NF.
+  template <int NF>
+  int subspace_cg_fixed(double radius, double* w, bool& hit_boundary);
 
   TronOptions options_;
   double lower_[N] = {}, upper_[N] = {}, x_[N] = {}, g_[N] = {}, s_[N] = {}, s_try_[N] = {},
@@ -103,58 +112,71 @@ double SmallTronSolver<N>::cauchy_step(double alpha, double* s) const {
 
 template <int N>
 int SmallTronSolver<N>::subspace_cg(int nf, double radius, double* w, bool& hit_boundary) {
+  // One instance per free-set size nf in [0, N]: every reduced loop then has
+  // a compile-time trip count. Each instance runs the same body, so the
+  // operations and their order are those of a run-time nf.
+  return [&]<int... NF>(std::integer_sequence<int, NF...>) {
+    int iters = 0;
+    static_cast<void>(
+        ((nf == NF && (iters = subspace_cg_fixed<NF>(radius, w, hit_boundary), true)) || ...));
+    return iters;
+  }(std::make_integer_sequence<int, N + 1>{});
+}
+
+template <int N>
+template <int NF>
+int SmallTronSolver<N>::subspace_cg_fixed(double radius, double* w, bool& hit_boundary) {
   hit_boundary = false;
   // Reduced residual r = -(g + H s) on the free set, w starts at 0.
-  for (int a = 0; a < nf; ++a) {
+  for (int a = 0; a < NF; ++a) {
     r_[a] = -grad_q_[free_[a]];
     wf_[a] = 0.0;
   }
   // Reduced Hessian and its shifted Cholesky factor as preconditioner
   // (exact modified Newton preconditioner, as in the generic solver).
-  for (int a = 0; a < nf; ++a) {
-    for (int b = 0; b < nf; ++b) hess_ff_(a, b) = hess_(free_[a], free_[b]);
+  for (int a = 0; a < NF; ++a) {
+    for (int b = 0; b < NF; ++b) hess_ff_(a, b) = hess_(free_[a], free_[b]);
   }
-  chol_ = hess_ff_;
-  linalg::shifted_cholesky(chol_, nf);
+  linalg::shifted_cholesky(hess_ff_, NF, chol_);
 
   auto precondition = [&](const double* in, double* out) {
-    for (int a = 0; a < nf; ++a) out[a] = in[a];
-    linalg::cholesky_solve(chol_, nf, {out, static_cast<std::size_t>(nf)});
+    for (int a = 0; a < NF; ++a) out[a] = in[a];
+    linalg::cholesky_solve(chol_, NF, {out, static_cast<std::size_t>(NF)});
   };
   auto reduced_matvec = [&](const double* in, double* out) {
-    for (int a = 0; a < nf; ++a) {
+    for (int a = 0; a < NF; ++a) {
       double acc = 0.0;
-      for (int b = 0; b < nf; ++b) acc += hess_ff_(a, b) * in[b];
+      for (int b = 0; b < NF; ++b) acc += hess_ff_(a, b) * in[b];
       out[a] = acc;
     }
   };
   auto boundary_step = [&](const double* dir) {
     // tau >= 0 with || w + tau dir || = radius.
     double ww = 0.0, wd = 0.0, dd = 0.0;
-    for (int a = 0; a < nf; ++a) {
+    for (int a = 0; a < NF; ++a) {
       ww += wf_[a] * wf_[a];
       wd += wf_[a] * dir[a];
       dd += dir[a] * dir[a];
     }
     const double disc = std::max(wd * wd - dd * (ww - radius * radius), 0.0);
     const double tau = dd > 0.0 ? (-wd + std::sqrt(disc)) / dd : 0.0;
-    for (int a = 0; a < nf; ++a) wf_[a] += tau * dir[a];
+    for (int a = 0; a < NF; ++a) wf_[a] += tau * dir[a];
   };
 
   const double rnorm0 = std::sqrt(
-      linalg::dot({r_, static_cast<std::size_t>(nf)}, {r_, static_cast<std::size_t>(nf)}));
+      linalg::dot({r_, static_cast<std::size_t>(NF)}, {r_, static_cast<std::size_t>(NF)}));
   const double target = options_.cg_rtol * rnorm0;
   precondition(r_, z_);
-  for (int a = 0; a < nf; ++a) p_[a] = z_[a];
-  double rz = linalg::dot({r_, static_cast<std::size_t>(nf)}, {z_, static_cast<std::size_t>(nf)});
+  for (int a = 0; a < NF; ++a) p_[a] = z_[a];
+  double rz = linalg::dot({r_, static_cast<std::size_t>(NF)}, {z_, static_cast<std::size_t>(NF)});
   int iters = 0;
-  for (; iters < 2 * nf + 4; ++iters) {
+  for (; iters < 2 * NF + 4; ++iters) {
     double rnorm = 0.0;
-    for (int a = 0; a < nf; ++a) rnorm += r_[a] * r_[a];
+    for (int a = 0; a < NF; ++a) rnorm += r_[a] * r_[a];
     if (std::sqrt(rnorm) <= target) break;
     reduced_matvec(p_, hp_);
     double php = 0.0;
-    for (int a = 0; a < nf; ++a) php += p_[a] * hp_[a];
+    for (int a = 0; a < NF; ++a) php += p_[a] * hp_[a];
     if (php <= 0.0) {
       // Negative curvature: follow the direction to the boundary.
       boundary_step(p_);
@@ -164,28 +186,28 @@ int SmallTronSolver<N>::subspace_cg(int nf, double radius, double* w, bool& hit_
     }
     const double alpha = rz / php;
     double wnorm2 = 0.0;
-    for (int a = 0; a < nf; ++a) {
+    for (int a = 0; a < NF; ++a) {
       wf_[a] += alpha * p_[a];
       wnorm2 += wf_[a] * wf_[a];
     }
     if (std::sqrt(wnorm2) >= radius) {
       // Retreat, then advance to the trust-region boundary.
-      for (int a = 0; a < nf; ++a) wf_[a] -= alpha * p_[a];
+      for (int a = 0; a < NF; ++a) wf_[a] -= alpha * p_[a];
       boundary_step(p_);
       hit_boundary = true;
       ++iters;
       break;
     }
-    for (int a = 0; a < nf; ++a) r_[a] -= alpha * hp_[a];
+    for (int a = 0; a < NF; ++a) r_[a] -= alpha * hp_[a];
     precondition(r_, z_);
     const double rz_next =
-        linalg::dot({r_, static_cast<std::size_t>(nf)}, {z_, static_cast<std::size_t>(nf)});
+        linalg::dot({r_, static_cast<std::size_t>(NF)}, {z_, static_cast<std::size_t>(NF)});
     const double beta = rz_next / rz;
     rz = rz_next;
-    for (int a = 0; a < nf; ++a) p_[a] = z_[a] + beta * p_[a];
+    for (int a = 0; a < NF; ++a) p_[a] = z_[a] + beta * p_[a];
   }
   for (int i = 0; i < N; ++i) w[i] = 0.0;
-  for (int a = 0; a < nf; ++a) w[free_[a]] = wf_[a];
+  for (int a = 0; a < NF; ++a) w[free_[a]] = wf_[a];
   return iters;
 }
 

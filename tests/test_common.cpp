@@ -1,10 +1,75 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
+#include "admm/branch_problem.hpp"
+#include "admm/params.hpp"
+#include "admm/solver.hpp"
 #include "common/error.hpp"
 #include "common/options.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timer.hpp"
+#include "device/device.hpp"
+#include "grid/cases.hpp"
+#include "tron/small_tron.hpp"
+
+// ---- Host heap allocation counter ----
+//
+// This test binary replaces the global operator new/delete with forwards to
+// malloc/free that count every allocation, on every thread (device worker
+// lanes included). The allocation-invariant tests below read the counter
+// around the code they check (DESIGN §9.3).
+
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size > 0 ? size : 1);
+}
+
+void* counted_aligned_alloc(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  return std::aligned_alloc(a, (size + a - 1) / a * a);
+}
+
+std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) {
+  if (void* p = counted_alloc(size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return counted_alloc(size); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_alloc(size);
+}
+void* operator new(std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size, std::align_val_t align) {
+  if (void* p = counted_aligned_alloc(size, align)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
 
 namespace gridadmm {
 namespace {
@@ -55,6 +120,110 @@ TEST(Rng, UniformIndexCoversRange) {
 TEST(Require, ThrowsOnFailure) {
   EXPECT_THROW(require(false, "boom"), GridError);
   EXPECT_NO_THROW(require(true, "fine"));
+}
+
+/// Runs `check` and returns the message of the `Error` it throws; fails the
+/// test when it throws nothing or something else.
+template <typename Error, typename Check>
+std::string thrown_message(Check check) {
+  try {
+    check();
+  } catch (const Error& e) {
+    return e.what();
+  } catch (...) {
+    ADD_FAILURE() << "threw an exception of another type";
+    return {};
+  }
+  ADD_FAILURE() << "did not throw";
+  return {};
+}
+
+TEST(Require, FailureThrowsTypedErrorWithExactMessage) {
+  const std::string built = "built message #" + std::to_string(42);
+  EXPECT_EQ(thrown_message<GridError>([] { require(false, "literal message"); }),
+            "literal message");
+  EXPECT_EQ(thrown_message<GridError>([&] { require(false, built); }), built);
+  EXPECT_EQ(thrown_message<ValidationError>([] { require_valid(false, "bad input"); }),
+            "bad input");
+  EXPECT_EQ(thrown_message<ValidationError>([&] { require_valid(false, built); }), built);
+  // require throws the base GridError, not the ValidationError subtype.
+  try {
+    require(false, "internal");
+  } catch (const GridError& e) {
+    EXPECT_EQ(dynamic_cast<const ValidationError*>(&e), nullptr);
+  }
+}
+
+TEST(Require, PassingChecksAllocateNothing) {
+  // Messages longer than any small-string buffer: building a std::string
+  // from either one would allocate.
+  const std::string owned(64, 'x');
+  const auto before = allocations();
+  for (int i = 0; i < 100; ++i) {
+    require(i >= 0, "a literal precondition message that is longer than a small string");
+    require_valid(i >= 0, "a literal validation message that is longer than a small string");
+    require(i >= 0, owned);
+    require_valid(i >= 0, owned);
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+}
+
+// ---- Host allocation invariants of the solver hot path (DESIGN §9.3) ----
+
+TEST(HostAllocations, SmallTronMinimizeOnRatedBranchAllocatesNothing) {
+  const auto net = grid::load_embedded_case("case9");
+  const auto& y = net.admittances[0];
+  const double adm[8] = {y.gii, y.bii, y.gij, y.bij, y.gji, y.bji, y.gjj, y.bjj};
+  const double vb[4] = {0.9, 1.1, 0.9, 1.1};
+  const double d[8] = {0.1, -0.05, 0.2, 0.0, -0.02, 0.01, 0.03, -0.01};
+  const double yk[8] = {1.0, -2.0, 0.5, 0.0, 3.0, -1.0, 0.2, 0.4};
+  double rhok[8];
+  std::fill(rhok, rhok + 8, 400.0);
+  admm::BranchProblem problem;
+  problem.bind(adm, vb, /*rate2=*/2.0, d, yk, rhok);
+  problem.set_line_multipliers(0.5, -0.5, 10.0);
+  ASSERT_EQ(problem.dim(), 6);
+  tron::SmallTronSolver<6> solver;
+
+  const auto before = allocations();
+  int iterations = 0;
+  for (int rep = 0; rep < 3; ++rep) {
+    double x[6] = {1.0, 1.0, 0.1, 0.0, -0.5, -0.5};
+    iterations += solver.minimize(problem, {x, 6}).iterations;
+  }
+  EXPECT_EQ(allocations() - before, 0u);
+  EXPECT_GT(iterations, 0);  // real TRON work ran inside the window
+}
+
+TEST(HostAllocations, SteadyStateAdmmIterationsAllocateNothing) {
+  // A warmed solve with a fixed number of inner iterations (unreachable
+  // tolerances, one outer iteration): whatever a solve allocates once must
+  // not grow with the iteration count. A multi-worker device puts the
+  // kernels on worker threads, which the counter sees too.
+  const auto net = grid::load_embedded_case("case30");
+  auto params = admm::params_for_case("case30", 30);
+  params.max_outer_iterations = 1;
+  params.inner_tolerance_initial = 0.0;
+  params.primal_tolerance = 0.0;
+  params.dual_tolerance = 0.0;
+  device::Device dev(2);
+  admm::AdmmSolver solver(net, params, &dev);
+  solver.params().max_inner_iterations = 5;
+  solver.solve();  // first launches size the branch lanes
+
+  auto allocations_in_solve = [&](int inner) {
+    solver.params().max_inner_iterations = inner;
+    solver.prepare_warm_start();
+    const auto before = allocations();
+    const auto stats = solver.solve();
+    const auto used = allocations() - before;
+    EXPECT_EQ(stats.inner_iterations, inner);
+    EXPECT_GT(stats.branch.tron_iterations, inner);
+    return used;
+  };
+  const auto short_solve = allocations_in_solve(50);
+  const auto long_solve = allocations_in_solve(200);
+  EXPECT_EQ(short_solve, long_solve) << "allocations grow with the inner iteration count";
 }
 
 TEST(Table, RendersAlignedRows) {

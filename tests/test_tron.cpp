@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "admm/branch_problem.hpp"
@@ -423,6 +424,48 @@ TEST(SmallTron, FourVariableHessianRejectsRatedBranchWithoutWriting) {
   problem.set_line_multipliers(0.0, 0.0, 0.0);
   problem.eval_hessian_into({x, 4}, hess);
   EXPECT_NE(hess(0, 0), kSentinel);
+}
+
+TEST(SmallTron, PreparedFlowsMatchRecomputedFlowsAndGoStaleOnBind) {
+  // flows() and constraint_values() reuse the last prepared point only when
+  // x is bitwise that point and no bind() came in between; either way they
+  // must equal a fresh grid::eval_flows of the bound branch.
+  const auto net = grid::load_embedded_case("case9");
+  auto admittance = [&](int l) {
+    const auto& y = net.admittances[static_cast<std::size_t>(l)];
+    return std::array<double, 8>{y.gii, y.bii, y.gij, y.bij, y.gji, y.bji, y.gjj, y.bjj};
+  };
+  auto expect_fresh = [](const admm::BranchProblem& problem, const std::array<double, 8>& a,
+                         const double* x) {
+    const grid::BranchAdmittance y{a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]};
+    const grid::FlowValues fresh = grid::eval_flows(y, x[0], x[1], x[2], x[3]);
+    const grid::FlowValues got = problem.flows({x, 6});
+    double cij = 0.0, cji = 0.0;
+    problem.constraint_values({x, 6}, cij, cji);
+    for (int k = 0; k < 4; ++k) EXPECT_EQ(got[k], fresh[k]) << "flow " << k;
+    EXPECT_EQ(cij, fresh[grid::kPij] * fresh[grid::kPij] + fresh[grid::kQij] * fresh[grid::kQij] +
+                       x[4]);
+    EXPECT_EQ(cji, fresh[grid::kPji] * fresh[grid::kPji] + fresh[grid::kQji] * fresh[grid::kQji] +
+                       x[5]);
+  };
+  const double vb[4] = {0.9, 1.1, 0.9, 1.1};
+  double d[8] = {0}, yk[8] = {0}, rhok[8];
+  std::fill(rhok, rhok + 8, 10.0);
+  const double x[6] = {1.02, 0.98, 0.1, -0.05, -0.5, -0.25};
+  const double other[6] = {1.0, 1.0, 0.0, 0.0, -0.5, -0.25};
+  const auto a0 = admittance(0);
+  const auto a1 = admittance(1);
+
+  admm::BranchProblem problem;
+  problem.bind(a0.data(), vb, /*rate2=*/2.0, d, yk, rhok);
+  problem.set_line_multipliers(0.5, -0.5, 10.0);
+  expect_fresh(problem, a0, x);  // nothing prepared yet
+  problem.eval_f_prepared({x, 6});
+  expect_fresh(problem, a0, x);      // prepared point reused
+  expect_fresh(problem, a0, other);  // a different x is recomputed
+  // Same x, different branch: the cache of branch 0 must not leak.
+  problem.bind(a1.data(), vb, /*rate2=*/2.0, d, yk, rhok);
+  expect_fresh(problem, a1, x);
 }
 
 }  // namespace
