@@ -20,11 +20,15 @@ void BranchProblem::bind(const double* adm, const double* vbound, double rate2, 
   adm_.bji = adm[5];
   adm_.gjj = adm[6];
   adm_.bjj = adm[7];
-  std::copy(vbound, vbound + 4, vbound_);
+  // Element loops with fixed trip counts: std::copy of these few doubles
+  // compiles to a libc memmove call per array.
+  for (int k = 0; k < 4; ++k) vbound_[k] = vbound[k];
   rate2_ = rate2;
-  std::copy(d, d + 8, d_);
-  std::copy(yk, yk + 8, yk_);
-  std::copy(rhok, rhok + 8, rhok_);
+  for (int k = 0; k < 8; ++k) {
+    d_[k] = d[k];
+    yk_[k] = yk[k];
+    rhok_[k] = rhok[k];
+  }
   double rho_max = 1.0;
   for (int k = 0; k < 8; ++k) rho_max = std::max(rho_max, rhok_[k]);
   rho_max_ = rho_max;

@@ -19,9 +19,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <span>
 
@@ -101,8 +101,9 @@ class BranchProblem final : public tron::TronProblem {
   // Contract: eval_gradient_prepared and eval_hessian_prepared require the
   // last eval_f_prepared call to have been at a bitwise-equal x with the
   // same bound data and multipliers — exactly the call pattern of
-  // SmallTronSolver, which (re)evaluates gradient and Hessian only at the
-  // accepted point whose objective it just evaluated.
+  // SmallTronSolver, which evaluates gradient and Hessian only at the
+  // accepted point whose objective it evaluated last (the Hessian lazily,
+  // but before any other point is evaluated).
 
   // Defined inline below: these run ~100M times per batch solve and the
   // call overhead of an out-of-line definition is measurable against their
@@ -119,16 +120,20 @@ class BranchProblem final : public tron::TronProblem {
   /// Line-limit constraint values c = p^2 + q^2 + s at x (rated only).
   void constraint_values(std::span<const double> x, double& cij, double& cji) const;
   /// Branch flows at x (grid::eval_flows of the bound admittance; the
-  /// prepared point's cached flows when x is bitwise that point).
+  /// prepared point's cached flows when x[0..3] are bitwise that point's).
   [[nodiscard]] grid::FlowValues flows(std::span<const double> x) const;
 
  private:
-  /// True when x is bitwise the point of the last eval_f_prepared since
-  /// bind(): the cached flows are then exactly what eval_flows would
-  /// recompute from x.
+  /// True when x's flow inputs (vi, vj, thi, thj) are bitwise those of the
+  /// last eval_f_prepared since bind(): the cached flows are then exactly
+  /// what eval_flows would recompute from x. A fixed four-entry compare, so
+  /// it compiles to a few integer ops rather than a libc memcmp call.
   [[nodiscard]] bool prepared_at(std::span<const double> x) const {
-    return prepared_ && x.size() <= std::size(px_) &&
-           std::memcmp(x.data(), px_, x.size_bytes()) == 0;
+    std::uint64_t diff = 0;
+    for (int i = 0; i < 4; ++i) {
+      diff |= std::bit_cast<std::uint64_t>(x[i]) ^ std::bit_cast<std::uint64_t>(px_[i]);
+    }
+    return prepared_ && diff == 0;
   }
 
   /// A rated branch solves in 6 variables; binding it to a 4-variable
@@ -156,7 +161,7 @@ class BranchProblem final : public tron::TronProblem {
 
   // Prepared-point cache (see the fused-evaluation contract above).
   bool prepared_ = false;      ///< a point was prepared since bind()
-  double px_[6] = {0};         ///< the prepared x (dim() entries)
+  double px_[4] = {0};         ///< the prepared x's flow inputs x[0..3]
   grid::FlowTrig ptrig_;       ///< cos/sin/vv at the prepared x
   grid::FlowValues pf_;        ///< flow values
   grid::FlowGradients pjac_;   ///< flow Jacobian
@@ -177,7 +182,7 @@ inline double BranchProblem::eval_f_prepared(std::span<const double> x) {
   // gradient, and Hessian at this point. The flow values produced by
   // eval_flow_gradients are bit-identical to eval_flows' (same
   // subexpressions), so the objective below matches eval_f exactly.
-  std::copy(x.begin(), x.end(), px_);
+  for (int i = 0; i < 4; ++i) px_[i] = x[i];
   prepared_ = true;
   ptrig_ = grid::flow_trig(x[0], x[1], x[2], x[3]);
   grid::eval_flow_gradients(adm_, x[0], x[1], ptrig_, pf_, pjac_);

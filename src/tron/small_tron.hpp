@@ -12,32 +12,40 @@
 // evaluation call binds statically (no vtable) and every full-space loop
 // has a compile-time trip count the compiler can unroll.
 //
-// The algorithm is an exact operation-for-operation transcription of
-// TronSolver::minimize — same constants (tron.hpp detail), same evaluation
-// order, same reductions through the same linalg::dot/norm2 kernels — so
-// the iterates are bit-identical to the generic solver's, which is what
-// lets the batch engine switch paths without changing a single result
-// (asserted by tests/test_tron.cpp and tests/test_batch_admm.cpp).
+// The algorithm is TronSolver::minimize's — same constants (tron.hpp
+// detail), same evaluation order, same reductions through the same
+// linalg::dot/norm2 kernels — and every value the generic solver reads is
+// computed here by the same expressions on the same operands, so the
+// iterates are bit-identical to the generic solver's (asserted by
+// tests/test_tron.cpp against TronSolver on early and late ADMM states).
 //
-// On top of the transcription, two classes of redundant work are removed —
-// both provably value-preserving, so bit-identity survives:
+// What differs is work whose result is never read, or is recomputed
+// bitwise-identically; bit-identity survives each cut:
 //   - Fused point evaluation: the problem's prepared surface
 //     (eval_f_prepared / eval_gradient_prepared / eval_hessian_prepared)
 //     derives f, gradient, and Hessian from ONE trigonometric + Jacobian
 //     evaluation per point, where the generic virtual interface re-derives
-//     the flows for each of the three calls. Gradient/Hessian are only
-//     ever needed at the point whose objective was just evaluated, so the
-//     cache is always hot.
+//     the flows for each of the three calls.
+//   - Lazy Hessian: an accepted point's Hessian is evaluated only after the
+//     next iteration's projected-gradient test has failed. A solve that
+//     stops first (converged, small reduction, delta floor, iteration cap)
+//     never reads it. No other point is evaluated in between, so the
+//     prepared cache still holds x_ when the Hessian is evaluated.
 //   - Exact quadratic reuse: the solver tracks q(s) through the Cauchy and
 //     Armijo updates (each already computes the quadratic value of the s
 //     it installs), so the minor loop's q_s and the acceptance test's
 //     predicted reduction reuse the tracked double instead of re-running
 //     the N^2 quadratic form on bitwise-identical inputs.
+//   - CG exit before preconditioning: the subspace CG tests its iteration
+//     cap and residual right after the residual update, so the
+//     preconditioner solve, rz and direction the generic loop computes
+//     for a pass it never runs are skipped.
 //
-// A solve touches no heap and copies nothing it does not need: the subspace
-// CG runs as one instance per free-set size (compile-time trip counts, same
-// body), and its shifted Cholesky factors straight from the reduced Hessian,
-// copying only the triangle each attempt factors.
+// A solve touches no heap and calls no libc copy: the subspace CG runs as
+// one instance per free-set size (compile-time trip counts, same body), its
+// shifted Cholesky factors straight from the reduced Hessian, and every
+// copy of the N-vectors is an element loop with a fixed trip count (GCC
+// turns std::copy of a few doubles into a memmove call).
 #pragma once
 
 #include <algorithm>
@@ -166,45 +174,55 @@ int SmallTronSolver<N>::subspace_cg_fixed(double radius, double* w, bool& hit_bo
   const double rnorm0 = std::sqrt(
       linalg::dot({r_, static_cast<std::size_t>(NF)}, {r_, static_cast<std::size_t>(NF)}));
   const double target = options_.cg_rtol * rnorm0;
-  precondition(r_, z_);
-  for (int a = 0; a < NF; ++a) p_[a] = z_[a];
-  double rz = linalg::dot({r_, static_cast<std::size_t>(NF)}, {z_, static_cast<std::size_t>(NF)});
-  int iters = 0;
-  for (; iters < 2 * NF + 4; ++iters) {
+  auto residual_small = [&] {
     double rnorm = 0.0;
     for (int a = 0; a < NF; ++a) rnorm += r_[a] * r_[a];
-    if (std::sqrt(rnorm) <= target) break;
-    reduced_matvec(p_, hp_);
-    double php = 0.0;
-    for (int a = 0; a < NF; ++a) php += p_[a] * hp_[a];
-    if (php <= 0.0) {
-      // Negative curvature: follow the direction to the boundary.
-      boundary_step(p_);
-      hit_boundary = true;
-      ++iters;
-      break;
-    }
-    const double alpha = rz / php;
-    double wnorm2 = 0.0;
-    for (int a = 0; a < NF; ++a) {
-      wf_[a] += alpha * p_[a];
-      wnorm2 += wf_[a] * wf_[a];
-    }
-    if (std::sqrt(wnorm2) >= radius) {
-      // Retreat, then advance to the trust-region boundary.
-      for (int a = 0; a < NF; ++a) wf_[a] -= alpha * p_[a];
-      boundary_step(p_);
-      hit_boundary = true;
-      ++iters;
-      break;
-    }
-    for (int a = 0; a < NF; ++a) r_[a] -= alpha * hp_[a];
+    return std::sqrt(rnorm) <= target;
+  };
+  // The generic loop tests the iteration cap and the residual at the top of
+  // each pass. Here both are tested right after the residual update, before
+  // preconditioning: when either stops the loop, the z_, rz and p_ that the
+  // next pass would have read are never computed.
+  int iters = 0;
+  if (!residual_small()) {
     precondition(r_, z_);
-    const double rz_next =
+    for (int a = 0; a < NF; ++a) p_[a] = z_[a];
+    double rz =
         linalg::dot({r_, static_cast<std::size_t>(NF)}, {z_, static_cast<std::size_t>(NF)});
-    const double beta = rz_next / rz;
-    rz = rz_next;
-    for (int a = 0; a < NF; ++a) p_[a] = z_[a] + beta * p_[a];
+    for (;;) {
+      reduced_matvec(p_, hp_);
+      double php = 0.0;
+      for (int a = 0; a < NF; ++a) php += p_[a] * hp_[a];
+      if (php <= 0.0) {
+        // Negative curvature: follow the direction to the boundary.
+        boundary_step(p_);
+        hit_boundary = true;
+        ++iters;
+        break;
+      }
+      const double alpha = rz / php;
+      double wnorm2 = 0.0;
+      for (int a = 0; a < NF; ++a) {
+        wf_[a] += alpha * p_[a];
+        wnorm2 += wf_[a] * wf_[a];
+      }
+      if (std::sqrt(wnorm2) >= radius) {
+        // Retreat, then advance to the trust-region boundary.
+        for (int a = 0; a < NF; ++a) wf_[a] -= alpha * p_[a];
+        boundary_step(p_);
+        hit_boundary = true;
+        ++iters;
+        break;
+      }
+      for (int a = 0; a < NF; ++a) r_[a] -= alpha * hp_[a];
+      if (++iters == 2 * NF + 4 || residual_small()) break;
+      precondition(r_, z_);
+      const double rz_next =
+          linalg::dot({r_, static_cast<std::size_t>(NF)}, {z_, static_cast<std::size_t>(NF)});
+      const double beta = rz_next / rz;
+      rz = rz_next;
+      for (int a = 0; a < NF; ++a) p_[a] = z_[a] + beta * p_[a];
+    }
   }
   for (int i = 0; i < N; ++i) w[i] = 0.0;
   for (int a = 0; a < NF; ++a) w[free_[a]] = wf_[a];
@@ -226,7 +244,9 @@ TronResult SmallTronSolver<N>::minimize(Problem& problem, std::span<double> x) {
   double f = problem.eval_f_prepared({x_, N});
   ++result.function_evals;
   problem.eval_gradient_prepared({x_, N}, {g_, N});
-  problem.eval_hessian_prepared({x_, N}, hess_);
+  // The Hessian at x_ is evaluated only once an iteration needs it, i.e.
+  // after the projected-gradient test has failed; see the loop head.
+  bool hess_stale = true;
 
   double gnorm0 = linalg::norm2({g_, N});
   double delta = options_.delta0 > 0.0 ? options_.delta0 : std::max(gnorm0, 1.0);
@@ -244,6 +264,12 @@ TronResult SmallTronSolver<N>::minimize(Problem& problem, std::span<double> x) {
     if (pgnorm <= options_.gtol) {
       result.status = TronStatus::kConverged;
       break;
+    }
+    if (hess_stale) {
+      // x_ is still the point of the last eval_f_prepared: either the
+      // initial evaluation or the accepted trial just before this test.
+      problem.eval_hessian_prepared({x_, N}, hess_);
+      hess_stale = false;
     }
 
     // ---- Generalized Cauchy point ----
@@ -263,7 +289,7 @@ TronResult SmallTronSolver<N>::minimize(Problem& problem, std::span<double> x) {
         for (int i = 0; i < N; ++i) gs += g_[i] * s_try_[i];
         if (q_next <= options_.mu0 * gs && linalg::norm2({s_try_, N}) <= delta) {
           alpha = alpha_next;
-          std::copy(s_try_, s_try_ + N, s_);
+          for (int i = 0; i < N; ++i) s_[i] = s_try_[i];
           q = q_next;
         } else {
           break;
@@ -315,7 +341,7 @@ TronResult SmallTronSolver<N>::minimize(Problem& problem, std::span<double> x) {
         double dir = 0.0;
         for (int i = 0; i < N; ++i) dir += grad_q_[i] * (s_try_[i] - s_[i]);
         if (q_try <= q_s + options_.mu0 * std::min(dir, 0.0)) {
-          std::copy(s_try_, s_try_ + N, s_);
+          for (int i = 0; i < N; ++i) s_[i] = s_try_[i];
           q = q_try;  // quadratic_value(s_) of the freshly installed s_
           accepted = true;
           break;
@@ -336,12 +362,14 @@ TronResult SmallTronSolver<N>::minimize(Problem& problem, std::span<double> x) {
 
     if (ratio > detail::kEta0 && std::isfinite(f_try)) {
       const double reduction = std::abs(ared);
-      std::copy(s_try_, s_try_ + N, x_);
+      for (int i = 0; i < N; ++i) x_[i] = s_try_[i];
       f = f_try;
       // x_ is bitwise the point eval_f_prepared just cached, so the fused
-      // gradient/Hessian reads are free of any flow re-evaluation.
+      // gradient read is free of any flow re-evaluation. The Hessian waits
+      // for the next iteration's projected-gradient test: a solve that
+      // stops here or there never reads it.
       problem.eval_gradient_prepared({x_, N}, {g_, N});
-      problem.eval_hessian_prepared({x_, N}, hess_);
+      hess_stale = true;
       gnorm0 = std::max(linalg::norm2({g_, N}), 1e-12);
       if (reduction <= options_.frtol * std::max(std::abs(f), 1.0)) {
         result.iterations = iter + 1;
@@ -361,7 +389,7 @@ TronResult SmallTronSolver<N>::minimize(Problem& problem, std::span<double> x) {
   }
 
   result.f = f;
-  std::copy(x_, x_ + N, x.begin());
+  for (int i = 0; i < N; ++i) x[i] = x_[i];
   return result;
 }
 

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "linalg/dense.hpp"
+#include "linalg/small.hpp"
 
 namespace gridadmm::linalg {
 namespace {
@@ -60,6 +65,55 @@ TEST(ShiftedCholesky, FindsShiftForIndefinite) {
   a(2, 2) = 0.5;
   const double shift = shifted_cholesky(a, 3);
   EXPECT_GT(shift, 2.0 - 1e-9);  // must exceed |most negative eigenvalue|
+}
+
+TEST(ShiftedCholesky, SmallMatrixFactorIsBitIdenticalToDenseAndReadsOnlyTheLowerBlock) {
+  // The SmallMatrix overload factors straight from its input instead of a
+  // shifted copy; it must return the DenseMatrix overload's shift and
+  // factor bit for bit. Every entry of both SmallMatrix operands outside
+  // the leading n x n lower triangle is NaN, so a read of one would poison
+  // the factor.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  Rng rng(21);
+  int shifted = 0;
+  for (int n = 1; n <= 6; ++n) {
+    for (int kind = 0; kind < 4; ++kind) {
+      // 0: SPD (no shift); 1: indefinite (many shift increases);
+      // 2: zero matrix (exactly one increase); 3: SPD with an initial shift.
+      DenseMatrix dense = random_spd(n, rng);
+      double initial_shift = 0.0;
+      if (kind == 1) {
+        for (int i = 0; i < n; ++i) dense(i, i) -= 2.0 * n + rng.uniform(0.5, 1.5);
+      } else if (kind == 2) {
+        dense.set_zero();
+      } else if (kind == 3) {
+        initial_shift = rng.uniform(0.1, 1.0);
+      }
+      SmallMatrix<6> a, l;
+      std::fill(std::begin(a.data), std::end(a.data), kNaN);
+      std::fill(std::begin(l.data), std::end(l.data), kNaN);
+      for (int i = 0; i < n; ++i) {
+        for (int j = 0; j <= i; ++j) a(i, j) = dense(i, j);
+      }
+
+      const double small_shift = shifted_cholesky(a, n, l, initial_shift);
+      const double dense_shift = shifted_cholesky(dense, n, initial_shift);
+      EXPECT_EQ(bits(small_shift), bits(dense_shift)) << "n=" << n << " kind=" << kind;
+      if (kind == 0) EXPECT_EQ(small_shift, 0.0);
+      if (kind == 1 || kind == 2) EXPECT_GT(small_shift, 0.0);
+      if (kind == 2) EXPECT_EQ(small_shift, 1e-10);
+      shifted += small_shift > initial_shift ? 1 : 0;
+      for (int i = 0; i < n; ++i) {
+        for (int j = 0; j <= i; ++j) {
+          EXPECT_FALSE(std::isnan(l(i, j))) << "n=" << n << " kind=" << kind;
+          EXPECT_EQ(bits(l(i, j)), bits(dense(i, j)))
+              << "n=" << n << " kind=" << kind << " entry (" << i << "," << j << ")";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(shifted, 12);  // kinds 1 and 2 at every n
 }
 
 TEST(DenseMatrix, MatvecMatchesManual) {

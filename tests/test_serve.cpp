@@ -1238,6 +1238,9 @@ TEST(SolveService, EscalationRungRecoversStalledRequestSolo) {
   EXPECT_TRUE(result.escalated);
   EXPECT_TRUE(result.converged);  // the boosted solo retry finished the job
 
+  // The shard worker fulfils the future before it commits the batch's
+  // telemetry; drain() returns only after that commit.
+  service.drain();
   const auto stats = service.stats();
   EXPECT_EQ(stats.escalation_retries, 1u);
   EXPECT_EQ(stats.escalation_recovered, 1u);

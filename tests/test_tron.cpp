@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "admm/branch_problem.hpp"
 #include "admm/solver.hpp"
@@ -230,9 +233,8 @@ void expect_bit_identical(admm::BranchProblem& problem, std::span<const double> 
   }
 }
 
-/// case30's branch consensus data after a few ADMM iterations: the exact
-/// inputs admm::branch_update_one binds on the next iteration (captured
-/// once per process).
+/// case30's branch consensus data after some ADMM iterations: the exact
+/// inputs admm::branch_update_one binds on the next iteration.
 struct AdmmBranchCapture {
   admm::AdmmParams params;
   int num_gens = 0;
@@ -241,23 +243,38 @@ struct AdmmBranchCapture {
   std::vector<double> adm, vbound, rate2;
 };
 
+AdmmBranchCapture capture_case30(int inner_iterations) {
+  AdmmBranchCapture c;
+  const auto net = grid::load_embedded_case("case30");
+  c.params = admm::params_for_case("case30", net.num_buses());
+  c.params.max_inner_iterations = inner_iterations;
+  c.params.max_outer_iterations = 1;
+  admm::AdmmSolver solver(net, c.params);
+  solver.solve();
+  c.num_gens = net.num_generators();
+  c.num_branches = net.num_branches();
+  c.iterate = solver.export_iterate();
+  c.adm = solver.model().br_adm.to_host();
+  c.vbound = solver.model().br_vbound.to_host();
+  c.rate2 = solver.model().br_rate2.to_host();
+  return c;
+}
+
+/// Early state: warm starts are still far from the subproblem minimizers,
+/// so the solves take several TRON iterations.
 const AdmmBranchCapture& case30_after_a_few_admm_iterations() {
-  static const AdmmBranchCapture capture = [] {
-    AdmmBranchCapture c;
-    const auto net = grid::load_embedded_case("case30");
-    c.params = admm::params_for_case("case30", net.num_buses());
-    c.params.max_inner_iterations = 4;
-    c.params.max_outer_iterations = 1;
-    admm::AdmmSolver solver(net, c.params);
-    solver.solve();
-    c.num_gens = net.num_generators();
-    c.num_branches = net.num_branches();
-    c.iterate = solver.export_iterate();
-    c.adm = solver.model().br_adm.to_host();
-    c.vbound = solver.model().br_vbound.to_host();
-    c.rate2 = solver.model().br_rate2.to_host();
-    return c;
-  }();
+  static const AdmmBranchCapture capture = capture_case30(4);
+  return capture;
+}
+
+/// Late state: the first outer iteration's inner loop has run to its end
+/// (it converges after 98 of the 300 allowed iterations), and the warm
+/// starts sit next to the minimizers. About half of the branch solves then
+/// stop after one TRON iteration and nearly all others after two, the
+/// regime where the Hessian of the last accepted point and the last CG
+/// preconditioning are never read.
+const AdmmBranchCapture& case30_after_many_admm_iterations() {
+  static const AdmmBranchCapture capture = capture_case30(300);
   return capture;
 }
 
@@ -292,41 +309,36 @@ int bind_captured_branch(const AdmmBranchCapture& c, int l, bool rated,
 
 /// Parameters [0, kRandomBranchProblems) bind randomized problems; the
 /// rest bind kCapturedBranches case30 branches from a running ADMM solve,
-/// each once rated and once unrated.
+/// each once rated and once unrated, first from the early capture and then
+/// from the late one.
 constexpr int kRandomBranchProblems = 40;
 constexpr int kCapturedBranches = 8;
+constexpr int kBranchInputs = kRandomBranchProblems + 4 * kCapturedBranches;
 
-class SmallTronBranchTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(SmallTronBranchTest, BitIdenticalToGenericOnRandomBranchProblems) {
-  admm::BranchProblem problem;
-  double x0[6] = {0};
-  TronOptions options;
-  options.max_iterations = 50;
-  options.gtol = 1e-7;
-
-  if (GetParam() >= kRandomBranchProblems) {
-    const auto& capture = case30_after_a_few_admm_iterations();
-    const int index = GetParam() - kRandomBranchProblems;
+/// Binds branch input `index` in [0, kBranchInputs) into `problem` and its
+/// start into `x0`, and sets the TRON options to solve it with. Returns
+/// the solve dimension.
+int bind_branch_input(int index, admm::BranchProblem& problem, double* x0, TronOptions& options) {
+  if (index >= kRandomBranchProblems) {
+    const int captured = index - kRandomBranchProblems;
+    const auto& capture = captured < 2 * kCapturedBranches ? case30_after_a_few_admm_iterations()
+                                                           : case30_after_many_admm_iterations();
+    const int k = captured % (2 * kCapturedBranches);
     // Spread the captured branches over the whole network.
-    const int l = (index / 2) * capture.num_branches / kCapturedBranches;
-    const bool rated = index % 2 == 0;
-    const int dim = bind_captured_branch(capture, l, rated, problem, x0);
-    ASSERT_EQ(problem.dim(), dim);
+    const int l = (k / 2) * capture.num_branches / kCapturedBranches;
     // The production solver options, not the test defaults.
-    if (dim == 6) {
-      expect_bit_identical<6>(problem, {x0, 6}, capture.params.tron);
-    } else {
-      expect_bit_identical<4>(problem, {x0, 4}, capture.params.tron);
-    }
-    return;
+    options = capture.params.tron;
+    return bind_captured_branch(capture, l, /*rated=*/k % 2 == 0, problem, x0);
   }
 
-  gridadmm::Rng rng(1300 + GetParam());
+  options = TronOptions{};
+  options.max_iterations = 50;
+  options.gtol = 1e-7;
+  gridadmm::Rng rng(1300 + index);
   const auto net = grid::load_embedded_case("case30");
   const int l = static_cast<int>(rng.uniform_index(
       static_cast<std::size_t>(net.num_branches())));
-  const bool rated = GetParam() % 2 == 0;
+  const bool rated = index % 2 == 0;
 
   const auto& y = net.admittances[static_cast<std::size_t>(l)];
   const double adm[8] = {y.gii, y.bii, y.gij, y.bij, y.gji, y.bji, y.gjj, y.bjj};
@@ -343,22 +355,127 @@ TEST_P(SmallTronBranchTest, BitIdenticalToGenericOnRandomBranchProblems) {
   problem.set_line_multipliers(rated ? rng.uniform(-2, 2) : 0.0, rated ? rng.uniform(-2, 2) : 0.0,
                                rated ? rng.uniform(1.0, 100.0) : 0.0);
 
-  if (rated) {
-    const double start[6] = {rng.uniform(0.92, 1.08), rng.uniform(0.92, 1.08),
-                             rng.uniform(-0.4, 0.4),  rng.uniform(-0.4, 0.4),
-                             rng.uniform(-1.0, 0.0),  rng.uniform(-1.0, 0.0)};
-    ASSERT_EQ(problem.dim(), 6);
-    expect_bit_identical<6>(problem, start, options);
+  x0[0] = rng.uniform(0.92, 1.08);
+  x0[1] = rng.uniform(0.92, 1.08);
+  x0[2] = rng.uniform(-0.4, 0.4);
+  x0[3] = rng.uniform(-0.4, 0.4);
+  if (!rated) return 4;
+  x0[4] = rng.uniform(-1.0, 0.0);
+  x0[5] = rng.uniform(-1.0, 0.0);
+  return 6;
+}
+
+class SmallTronBranchTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SmallTronBranchTest, BitIdenticalToGenericOnRandomBranchProblems) {
+  admm::BranchProblem problem;
+  double x0[6] = {0};
+  TronOptions options;
+  const int dim = bind_branch_input(GetParam(), problem, x0, options);
+  ASSERT_EQ(problem.dim(), dim);
+  if (dim == 6) {
+    expect_bit_identical<6>(problem, {x0, 6}, options);
   } else {
-    const double start[4] = {rng.uniform(0.92, 1.08), rng.uniform(0.92, 1.08),
-                             rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)};
-    ASSERT_EQ(problem.dim(), 4);
-    expect_bit_identical<4>(problem, start, options);
+    expect_bit_identical<4>(problem, {x0, 4}, options);
+  }
+}
+
+/// Forwards SmallTronSolver's prepared evaluation surface to a bound
+/// BranchProblem and counts the Hessian evaluations.
+class CountingBranchProblem {
+ public:
+  explicit CountingBranchProblem(admm::BranchProblem& inner) : inner_(inner) {}
+
+  [[nodiscard]] int dim() const { return inner_.dim(); }
+  void bounds(std::span<double> lower, std::span<double> upper) const {
+    inner_.bounds(lower, upper);
+  }
+  double eval_f_prepared(std::span<const double> x) { return inner_.eval_f_prepared(x); }
+  void eval_gradient_prepared(std::span<const double> x, std::span<double> grad) const {
+    inner_.eval_gradient_prepared(x, grad);
+  }
+  template <typename Mat>
+  void eval_hessian_prepared(std::span<const double> x, Mat& hess) {
+    ++hessian_evals_;
+    inner_.eval_hessian_prepared(x, hess);
+  }
+
+  [[nodiscard]] int hessian_evals() const { return hessian_evals_; }
+
+ private:
+  admm::BranchProblem& inner_;
+  int hessian_evals_ = 0;
+};
+
+/// Solves from x0 twice, plainly and through CountingBranchProblem, checks
+/// that counting changes no bit of the result, and returns the counted
+/// solve's result and Hessian evaluations. `x` receives the solution.
+template <int N>
+std::pair<TronResult, int> counted_solve(admm::BranchProblem& problem, const double* x0,
+                                         const TronOptions& options, double* x) {
+  double x_plain[N];
+  std::copy(x0, x0 + N, x_plain);
+  std::copy(x0, x0 + N, x);
+  SmallTronSolver<N> plain_solver(options);
+  const TronResult plain = plain_solver.minimize(problem, {x_plain, N});
+  CountingBranchProblem counting(problem);
+  SmallTronSolver<N> counted_solver(options);
+  const TronResult counted = counted_solver.minimize(counting, {x, N});
+
+  EXPECT_EQ(counted.status, plain.status);
+  EXPECT_EQ(counted.iterations, plain.iterations);
+  EXPECT_EQ(counted.cg_iterations, plain.cg_iterations);
+  EXPECT_EQ(counted.function_evals, plain.function_evals);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(counted.f), std::bit_cast<std::uint64_t>(plain.f));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(counted.projected_gradient_norm),
+            std::bit_cast<std::uint64_t>(plain.projected_gradient_norm));
+  for (int i = 0; i < N; ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i]), std::bit_cast<std::uint64_t>(x_plain[i]))
+        << "component " << i;
+  }
+  return {counted, counting.hessian_evals()};
+}
+
+template <int N>
+void expect_lazy_hessian(admm::BranchProblem& problem, const double* x0,
+                         const TronOptions& options) {
+  double x[N];
+  const auto [result, hessians] = counted_solve<N>(problem, x0, options, x);
+  // Every executed iteration evaluates exactly one trial point. The
+  // iteration counter equals the executed iterations, except that a solve
+  // stopped by the iteration cap or a failed line search does not count
+  // its last one (the convention TronSolver shares).
+  const int executed = result.function_evals - 1;
+  const bool counts_last = result.status == TronStatus::kConverged ||
+                           result.status == TronStatus::kSmallReduction;
+  EXPECT_EQ(executed, result.iterations + (counts_last ? 0 : 1));
+  // A Hessian is evaluated only by an iteration that goes on to use it.
+  EXPECT_LE(hessians, executed);
+  if (counts_last) EXPECT_LE(hessians, result.iterations);
+  if (result.status != TronStatus::kConverged) return;
+
+  // Restarted at its own converged point, the solve stops at the first
+  // projected-gradient test, before any Hessian is needed.
+  double x_again[N];
+  const auto [again, again_hessians] = counted_solve<N>(problem, x, options, x_again);
+  EXPECT_EQ(again.status, TronStatus::kConverged);
+  EXPECT_EQ(again.iterations, 0);
+  EXPECT_EQ(again_hessians, 0);
+}
+
+TEST_P(SmallTronBranchTest, EvaluatesHessiansOnlyForIterationsThatUseThem) {
+  admm::BranchProblem problem;
+  double x0[6] = {0};
+  TronOptions options;
+  if (bind_branch_input(GetParam(), problem, x0, options) == 6) {
+    expect_lazy_hessian<6>(problem, x0, options);
+  } else {
+    expect_lazy_hessian<4>(problem, x0, options);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomBranchProblems, SmallTronBranchTest,
-                         ::testing::Range(0, kRandomBranchProblems + 2 * kCapturedBranches));
+                         ::testing::Range(0, kBranchInputs));
 
 TEST(SmallTron, BitIdenticalOnDegenerateOutageStagedData) {
   // An outaged branch's consensus data is zeroed by the batch staging; the
