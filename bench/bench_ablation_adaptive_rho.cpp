@@ -6,6 +6,7 @@
 // bad preset.
 #include <cstdio>
 
+#include "admm/solver.hpp"
 #include "bench_common.hpp"
 #include "common/table.hpp"
 #include "grid/solution.hpp"

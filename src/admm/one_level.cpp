@@ -1,6 +1,7 @@
 #include "admm/one_level.hpp"
 
-#include "grid/solution.hpp"
+#include "scenario/batch_solver.hpp"
+#include "scenario/scenario_set.hpp"
 
 namespace gridadmm::admm {
 
@@ -19,16 +20,18 @@ std::vector<VariantRun> compare_variants(const grid::Network& net, const AdmmPar
     const char* name;
     const AdmmParams& params;
   } variants[] = {{"two-level", base}, {"one-level", one_level}};
+  scenario::ScenarioSet set(net);
+  set.add_base();
+  scenario::BatchSolveOptions options;
+  options.record_history = true;
   for (const auto& variant : variants) {
-    AdmmSolver solver(net, variant.params, dev);
-    solver.set_record_history(true);
+    scenario::BatchAdmmSolver solver(set, variant.params, dev);
+    auto report = solver.solve(options);
     VariantRun run;
     run.variant = variant.name;
-    run.stats = solver.solve();
-    const auto sol = solver.solution();
-    const auto quality = grid::evaluate_solution(solver.network(), sol);
-    run.objective = quality.objective;
-    run.max_violation = quality.max_violation;
+    run.stats = std::move(report.stats.front());
+    run.objective = report.records.front().objective;
+    run.max_violation = report.records.front().max_violation;
     runs.push_back(std::move(run));
   }
   return runs;

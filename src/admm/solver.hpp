@@ -1,4 +1,11 @@
-// Two-level ADMM solver for ACOPF (paper Algorithm 1).
+// Two-level ADMM solver for ACOPF (paper Algorithm 1): the single-scenario
+// reference engine.
+//
+// Production solves run on scenario::BatchAdmmSolver, where one scenario
+// is a batch of one. This solver is kept as the oracle the batch engine is
+// tested against: scenario::solve_sequential runs one AdmmSolver per
+// scenario, and the batch tests require the same iterations and
+// residuals.
 //
 // Outer loop: augmented Lagrangian on z = 0 (multiplier lambda, penalty
 // beta). Inner loop: ADMM over the component decomposition

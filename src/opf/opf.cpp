@@ -1,22 +1,25 @@
 #include "opf/opf.hpp"
 
-#include "common/timer.hpp"
 #include "grid/cases.hpp"
 #include "ipm/acopf_nlp.hpp"
+#include "scenario/batch_solver.hpp"
+#include "scenario/scenario_set.hpp"
 
 namespace gridadmm::opf {
 
 SolveReport solve_with_admm(const grid::Network& net, const admm::AdmmParams& params,
                             device::Device* dev) {
-  admm::AdmmSolver solver(net, params, dev);
-  const auto stats = solver.solve();
+  scenario::ScenarioSet set(net);
+  set.add_base();
+  scenario::BatchAdmmSolver solver(set, params, dev);
+  const auto record = solver.solve().records.front();
   SolveReport report;
   report.solver = "admm";
-  report.solution = solver.solution();
+  report.solution = solver.solution(0);
   report.quality = grid::evaluate_solution(net, report.solution);
-  report.converged = stats.converged;
-  report.iterations = stats.inner_iterations;
-  report.seconds = stats.solve_seconds;
+  report.converged = record.converged;
+  report.iterations = record.inner_iterations;
+  report.seconds = record.seconds;
   return report;
 }
 

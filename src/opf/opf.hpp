@@ -6,7 +6,6 @@
 #include <string>
 
 #include "admm/params.hpp"
-#include "admm/solver.hpp"
 #include "device/device.hpp"
 #include "grid/network.hpp"
 #include "grid/solution.hpp"
@@ -23,7 +22,8 @@ struct SolveReport {
   std::string solver;
 };
 
-/// Solves with the paper's GPU-style ADMM (cold start).
+/// Solves with the paper's GPU-style ADMM (cold start): a one-scenario
+/// batch on scenario::BatchAdmmSolver.
 SolveReport solve_with_admm(const grid::Network& net, const admm::AdmmParams& params,
                             device::Device* dev = nullptr);
 

@@ -1,11 +1,9 @@
 #include "opf/tracking.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "common/timer.hpp"
 #include "grid/solution.hpp"
 #include "obs/trace.hpp"
 #include "scenario/batch_solver.hpp"
@@ -13,110 +11,16 @@
 
 namespace gridadmm::opf {
 
-TrackingSimulator::TrackingSimulator(grid::Network net, admm::AdmmParams params,
-                                     TrackingOptions options, device::Device* dev)
-    : net_(std::move(net)), params_(params), options_(options),
-      dev_(dev != nullptr ? dev : &device::default_device()) {
-  grid::LoadProfileSpec spec;
-  spec.periods = options_.periods;
-  spec.max_drift = options_.max_drift;
-  spec.seed = options_.profile_seed;
-  profile_ = grid::make_load_profile(spec);
-  base_pd_.reserve(net_.buses.size());
-  base_qd_.reserve(net_.buses.size());
-  for (const auto& bus : net_.buses) {
-    base_pd_.push_back(bus.pd);
-    base_qd_.push_back(bus.qd);
-  }
-}
-
-std::vector<PeriodRecord> TrackingSimulator::run() {
-  const int ng = net_.num_generators();
-  std::vector<double> pmin0(ng), pmax0(ng), ramp(ng);
-  for (int g = 0; g < ng; ++g) {
-    pmin0[g] = net_.generators[g].pmin;
-    pmax0[g] = net_.generators[g].pmax;
-    ramp[g] = options_.ramp_fraction * net_.generators[g].pmax;
-  }
-
-  admm::AdmmSolver admm_solver(net_, params_, dev_);
-  ipm::AcopfNlp nlp(net_);
-  ipm::IpmSolver ipm_solver(nlp, options_.ipm);
-
-  std::vector<double> pd(net_.buses.size()), qd(net_.buses.size());
-  std::vector<double> pmin(ng), pmax(ng);
-  std::vector<double> admm_prev_pg, ipm_prev_pg;
-
-  if (options_.trace) obs::Tracer::instance().enable();
-  std::vector<PeriodRecord> records;
-  records.reserve(static_cast<std::size_t>(options_.periods));
-  for (int t = 0; t < options_.periods; ++t) {
-    const obs::TraceSpan period_span("tracking.period", "period",
-                                     static_cast<std::uint64_t>(t + 1));
-    PeriodRecord rec;
-    rec.period = t + 1;
-    rec.load_scale = profile_[t];
-    for (std::size_t i = 0; i < pd.size(); ++i) {
-      pd[i] = base_pd_[i] * profile_[t];
-      qd[i] = base_qd_[i] * profile_[t];
-    }
-
-    // ---- ADMM ----
-    {
-      auto ramp_bounds = [&](const std::vector<double>& prev) {
-        for (int g = 0; g < ng; ++g) {
-          pmin[g] = t == 0 ? pmin0[g] : std::max(pmin0[g], prev[g] - ramp[g]);
-          pmax[g] = t == 0 ? pmax0[g] : std::min(pmax0[g], prev[g] + ramp[g]);
-        }
-      };
-      ramp_bounds(admm_prev_pg);
-      admm_solver.set_loads(pd, qd);
-      admm_solver.set_generator_pg_bounds(pmin, pmax);
-      if (t > 0) admm_solver.prepare_warm_start();
-      const auto stats = admm_solver.solve();
-      const auto sol = admm_solver.solution();
-      const auto quality = grid::evaluate_solution(admm_solver.network(), sol);
-      rec.admm_seconds = stats.solve_seconds;
-      rec.admm_iterations = stats.inner_iterations;
-      rec.admm_objective = quality.objective;
-      rec.admm_violation = quality.max_violation;
-      rec.admm_converged = stats.converged;
-      admm_prev_pg = sol.pg;
-    }
-
-    // ---- Interior-point baseline ----
-    if (options_.run_ipm) {
-      for (int g = 0; g < ng; ++g) {
-        const double prev = t == 0 ? 0.0 : ipm_prev_pg[g];
-        pmin[g] = t == 0 ? pmin0[g] : std::max(pmin0[g], prev - ramp[g]);
-        pmax[g] = t == 0 ? pmax0[g] : std::min(pmax0[g], prev + ramp[g]);
-      }
-      nlp.set_loads(pd, qd);
-      nlp.set_pg_bounds(pmin, pmax);
-      ipm_solver.options().warm_start = t > 0;
-      const auto result = ipm_solver.solve();
-      const auto sol = nlp.unpack(ipm_solver.primal());
-      const auto quality = grid::evaluate_solution(nlp.network(), sol);
-      rec.ipm_seconds = result.solve_seconds;
-      rec.ipm_iterations = result.iterations;
-      rec.ipm_objective = quality.objective;
-      rec.ipm_violation = quality.max_violation;
-      rec.ipm_converged = result.status == ipm::IpmStatus::kOptimal;
-      ipm_prev_pg = sol.pg;
-      if (rec.ipm_converged) {
-        rec.relative_gap = grid::relative_gap(rec.admm_objective, rec.ipm_objective);
-      }
-    }
-
-    log::info("tracking period ", rec.period, ": scale=", rec.load_scale,
-              " admm=", rec.admm_seconds, "s (", rec.admm_iterations, " it)",
-              options_.run_ipm ? " ipm=" : "", options_.run_ipm ? std::to_string(rec.ipm_seconds) : "");
-    records.push_back(rec);
-  }
-  return records;
-}
-
 namespace {
+
+/// Load profile of tracked variant `profile`: seed profile_seed + profile.
+grid::LoadProfileSpec profile_spec(const TrackingOptions& options, int profile) {
+  grid::LoadProfileSpec spec;
+  spec.periods = options.periods;
+  spec.max_drift = options.max_drift;
+  spec.seed = options.profile_seed + static_cast<std::uint64_t>(profile);
+  return spec;
+}
 
 /// Shared implementation: builds the per-profile tracking set, solves it
 /// with the caller's solver (single-device or sharded), and reshapes the
@@ -130,19 +34,14 @@ BatchTrackingResult run_batched_tracking_impl(const grid::Network& net,
   scenario::ScenarioSet set(net);
   std::vector<int> first_index(static_cast<std::size_t>(num_profiles));
   for (int p = 0; p < num_profiles; ++p) {
-    grid::LoadProfileSpec spec;
-    spec.periods = options.periods;
-    spec.max_drift = options.max_drift;
-    spec.seed = options.profile_seed + static_cast<std::uint64_t>(p);
     first_index[static_cast<std::size_t>(p)] =
-        set.add_tracking_sequence(spec, options.ramp_fraction);
+        set.add_tracking_sequence(profile_spec(options, p), options.ramp_fraction);
   }
 
   // One fused batch per period: wave t holds every profile's period t.
-  // Ping-pong keeps only the current and previous period's state resident,
-  // so device memory stays O(2 x profiles x case) for any horizon length.
+  // Only the current and previous period's state stay resident, so device
+  // memory is O(2 x profiles x case) for any horizon length.
   scenario::BatchSolveOptions solve_options;
-  solve_options.ping_pong = options.ping_pong;
   solve_options.trace = options.trace;
   solve_options.convergence_sample_interval = options.convergence_sample_interval;
   if (options.trace) obs::Tracer::instance().enable();
@@ -180,6 +79,62 @@ BatchTrackingResult run_batched_tracking_impl(const grid::Network& net,
 }
 
 }  // namespace
+
+TrackingSimulator::TrackingSimulator(grid::Network net, admm::AdmmParams params,
+                                     TrackingOptions options, device::Device* dev)
+    : net_(std::move(net)), params_(params), options_(options),
+      dev_(dev),
+      profile_(grid::make_load_profile(profile_spec(options_, 0))) {}
+
+std::vector<PeriodRecord> TrackingSimulator::run() {
+  std::vector<PeriodRecord> records =
+      std::move(run_batched_tracking(net_, params_, options_, 1, dev_).profiles.front());
+
+  // ---- Interior-point baseline: the same loads, its own ramp chain ----
+  if (options_.run_ipm) {
+    ipm::AcopfNlp nlp(net_);
+    ipm::IpmSolver ipm_solver(nlp, options_.ipm);
+    std::vector<double> pd(net_.buses.size()), qd(net_.buses.size());
+    std::vector<double> pmin(net_.generators.size()), pmax(net_.generators.size());
+    std::vector<double> prev_pg;
+    for (auto& rec : records) {
+      const bool first = rec.period == 1;
+      for (std::size_t i = 0; i < pd.size(); ++i) {
+        pd[i] = net_.buses[i].pd * rec.load_scale;
+        qd[i] = net_.buses[i].qd * rec.load_scale;
+      }
+      for (std::size_t g = 0; g < pmin.size(); ++g) {
+        const auto& gen = net_.generators[g];
+        const double ramp = options_.ramp_fraction * gen.pmax;
+        pmin[g] = first ? gen.pmin : std::max(gen.pmin, prev_pg[g] - ramp);
+        pmax[g] = first ? gen.pmax : std::min(gen.pmax, prev_pg[g] + ramp);
+      }
+      nlp.set_loads(pd, qd);
+      nlp.set_pg_bounds(pmin, pmax);
+      ipm_solver.options().warm_start = !first;
+      const auto result = ipm_solver.solve();
+      const auto sol = nlp.unpack(ipm_solver.primal());
+      const auto quality = grid::evaluate_solution(nlp.network(), sol);
+      rec.ipm_seconds = result.solve_seconds;
+      rec.ipm_iterations = result.iterations;
+      rec.ipm_objective = quality.objective;
+      rec.ipm_violation = quality.max_violation;
+      rec.ipm_converged = result.status == ipm::IpmStatus::kOptimal;
+      prev_pg = sol.pg;
+      if (rec.ipm_converged) {
+        rec.relative_gap = grid::relative_gap(rec.admm_objective, rec.ipm_objective);
+      }
+    }
+  }
+
+  for (const auto& rec : records) {
+    log::info("tracking period ", rec.period, ": scale=", rec.load_scale,
+              " admm=", rec.admm_seconds, "s (", rec.admm_iterations, " it)",
+              options_.run_ipm ? " ipm=" : "",
+              options_.run_ipm ? std::to_string(rec.ipm_seconds) : "");
+  }
+  return records;
+}
 
 BatchTrackingResult run_batched_tracking(const grid::Network& net,
                                          const admm::AdmmParams& params,

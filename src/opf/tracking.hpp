@@ -6,13 +6,16 @@
 // |pg_{t+1} - pg_t| <= 2% Pmax applied to both solvers. Produces the series
 // of Figures 1-3: per-period solve time, maximum constraint violation, and
 // relative objective gap versus the interior-point baseline.
+//
+// The ADMM horizon is one time-coupled ScenarioSet chain on the batch
+// engine: a single profile is a batch of one scenario per period, chained
+// on device wave by wave.
 #pragma once
 
 #include <optional>
 #include <vector>
 
 #include "admm/params.hpp"
-#include "admm/solver.hpp"
 #include "device/device.hpp"
 #include "device/pool.hpp"
 #include "grid/load_profile.hpp"
@@ -30,17 +33,13 @@ struct TrackingOptions {
   std::uint64_t profile_seed = 7;
   bool run_ipm = true;          ///< also track with the baseline
   ipm::IpmOptions ipm;
-  /// Batched mode only: run the horizon in two-wave ping-pong buffers, so
-  /// live batch-state memory is O(2 x profiles x case) instead of
-  /// O(periods x profiles x case). Results are identical either way.
-  bool ping_pong = true;
-  /// Enables the process-wide obs::Tracer for the run: sequential mode
-  /// emits one tracking.period span per period, batched mode traces each
-  /// period's fused wave (see scenario::BatchSolveOptions::trace).
+  /// Enables the process-wide obs::Tracer for the run: one tracking.batched
+  /// span around the horizon and a solver.wave span per period (see
+  /// scenario::BatchSolveOptions::trace).
   bool trace = false;
-  /// Batched mode only: per-scenario convergence sampling interval of the
-  /// fused solve (trajectories on BatchTrackingResult::report.convergence,
-  /// indexed scenario-major: profile's first_index + period). 0 = off.
+  /// Per-scenario convergence sampling interval of the fused solve
+  /// (trajectories on BatchTrackingResult::report.convergence, indexed
+  /// scenario-major: profile's first_index + period). 0 = off.
   int convergence_sample_interval = 0;
 };
 
@@ -68,7 +67,9 @@ class TrackingSimulator {
   TrackingSimulator(grid::Network net, admm::AdmmParams params, TrackingOptions options,
                     device::Device* dev = nullptr);
 
-  /// Runs the full horizon and returns one record per period.
+  /// Runs the full horizon and returns one record per period. The ADMM
+  /// periods are run_batched_tracking with one profile; the IPM baseline,
+  /// when enabled, then tracks the same loads period by period.
   std::vector<PeriodRecord> run();
 
   [[nodiscard]] const std::vector<double>& load_profile() const { return profile_; }
@@ -77,15 +78,14 @@ class TrackingSimulator {
   grid::Network net_;
   admm::AdmmParams params_;
   TrackingOptions options_;
-  device::Device* dev_;
+  device::Device* dev_;  ///< null: the process-wide device
   std::vector<double> profile_;
-  std::vector<double> base_pd_, base_qd_;
 };
 
 /// Result of tracking several load-profile variants concurrently.
 struct BatchTrackingResult {
   /// ADMM period records per profile ([profile][period]; IPM fields zero —
-  /// the baseline is not run in batched mode).
+  /// run_batched_tracking does not run the baseline).
   std::vector<std::vector<PeriodRecord>> profiles;
   /// The underlying batch solve report (per-scenario stats, launch counts).
   scenario::ScenarioReport report;
@@ -95,10 +95,9 @@ struct BatchTrackingResult {
 /// profile (seeds profile_seed, profile_seed+1, ...) are tracked
 /// concurrently. Each period solves all profiles as ONE fused batch on the
 /// device, warm started from the previous period with the same ramp limits
-/// as the sequential simulator — instead of num_profiles sequential
-/// tracking runs. This is the paper's Section IV-C experiment widened
-/// across scenarios. By default (TrackingOptions::ping_pong) the periods
-/// run through a two-buffer ping-pong pair, so device memory stays
+/// as TrackingSimulator — instead of num_profiles separate tracking runs.
+/// This is the paper's Section IV-C experiment widened across scenarios.
+/// The periods alternate between two wave buffers, so device memory stays
 /// constant in the horizon length.
 BatchTrackingResult run_batched_tracking(const grid::Network& net,
                                          const admm::AdmmParams& params,

@@ -14,12 +14,14 @@
 // every scenario lands on shard 0 and the plan degenerates to the
 // single-device layout, so the sharded solve is a strict generalization.
 //
-// Ping-pong mode: instead of one persistent slot per scenario, slots are
-// assigned per wave and the shard allocates two buffers of max-wave-size
-// slots. Wave d executes in buffer d % 2 while buffer (d - 1) % 2 still
-// holds the parent wave's iterates for on-device chaining; wave d + 1 then
-// reuses the parent buffer. Live batch-state memory is O(2 x wave x case)
-// — constant in the horizon length — instead of O(S x case).
+// Wave buffers: slots are assigned per wave. Each shard keeps one buffer
+// per wave parity: buffer b holds the waves d with d % 2 == b and is sized
+// to the largest of them on that shard. Wave d executes in buffer d % 2
+// while buffer (d - 1) % 2 still holds the parent wave's iterates for
+// on-device chaining; wave d + 1 then reuses the parent buffer. A one-wave
+// set (every serve batch) gets one S-slot buffer; a chained set's live
+// batch-state memory is constant in the horizon length. A shard's two
+// capacities never sum to more than its scenario count.
 #pragma once
 
 #include <span>
@@ -31,29 +33,26 @@ namespace gridadmm::scenario {
 
 struct BatchPlan {
   int num_shards = 1;
-  bool ping_pong = false;
 
   std::vector<int> shard_of;  ///< global scenario -> shard
-  /// Global scenario -> slot within its shard's state. In ping-pong mode
-  /// the slot is local to the scenario's wave buffer (wave_of[s] % 2).
+  /// Global scenario -> slot within its wave's buffer (wave_of[s] % 2) on
+  /// its shard.
   std::vector<int> slot_of;
   std::vector<int> wave_of;  ///< global scenario -> chain depth (wave index)
 
-  /// Scenarios each shard owns, in scenario order (all waves).
-  std::vector<std::vector<int>> shard_scenarios;
   /// [wave][shard] -> global scenario ids of that wave on that shard.
   std::vector<std::vector<std::vector<int>>> wave_shards;
-  /// Slots each shard's state buffer must hold: the shard's scenario count,
-  /// or its largest single-wave count in ping-pong mode.
-  std::vector<int> shard_capacity;
+  /// [shard][b] -> slots buffer b must hold: the shard's largest wave of
+  /// parity b. One entry per buffer (one buffer for a one-wave set).
+  std::vector<std::vector<int>> buffer_capacity;
 
   [[nodiscard]] int num_waves() const { return static_cast<int>(wave_shards.size()); }
+  [[nodiscard]] int num_buffers() const { return num_waves() > 1 ? 2 : 1; }
 
   /// Builds the deterministic plan for `scenarios` grouped into `waves`
   /// (ScenarioSet::waves() order: wave d chains from wave d - 1).
   static BatchPlan create(std::span<const Scenario> scenarios,
-                          const std::vector<std::vector<int>>& waves, int num_shards,
-                          bool ping_pong);
+                          const std::vector<std::vector<int>>& waves, int num_shards);
 };
 
 }  // namespace gridadmm::scenario

@@ -139,19 +139,20 @@ admm::AdmmParams effective_params(const admm::AdmmParams& base, const ScenarioCo
   return p;
 }
 
-void BatchAdmmSolver::ensure_storage(bool ping_pong) {
-  if (storage_ready_ && plan_.ping_pong == ping_pong) return;
-  plan_ = BatchPlan::create(scenarios_, waves_, num_shards(), ping_pong);
+void BatchAdmmSolver::ensure_storage() {
+  if (storage_ready_) return;
+  plan_ = BatchPlan::create(scenarios_, waves_, num_shards());
   shards_.clear();
   shards_.resize(devs_.size());
-  const int buffers = ping_pong ? 2 : 1;
+  const int buffers = plan_.num_buffers();
   for (int d = 0; d < num_shards(); ++d) {
     Shard& shard = shards_[static_cast<std::size_t>(d)];
     shard.dev = devs_[static_cast<std::size_t>(d)];
-    const int capacity = plan_.shard_capacity[static_cast<std::size_t>(d)];
     shard.states.reserve(static_cast<std::size_t>(buffers));
     shard.views.resize(static_cast<std::size_t>(buffers));
     for (int b = 0; b < buffers; ++b) {
+      const int capacity =
+          plan_.buffer_capacity[static_cast<std::size_t>(d)][static_cast<std::size_t>(b)];
       shard.states.push_back(admm::BatchAdmmState::zeros(model_, capacity));
       auto& views = shard.views[static_cast<std::size_t>(b)];
       views.clear();
@@ -194,10 +195,12 @@ void BatchAdmmSolver::schedule_inner_tolerance(int s, Control& ctrl) const {
 
 admm::WarmStartIterate BatchAdmmSolver::solve_base(ScenarioReport& report) {
   WallTimer base_timer;
-  admm::AdmmSolver base(net_, params_, devs_.front());
+  ScenarioSet set(net_);
+  set.add_base();
+  BatchAdmmSolver base(set, params_, devs_.front());
   base.solve();
   report.base_solve_seconds = base_timer.seconds();
-  return base.export_iterate();
+  return base.export_iterate(0);
 }
 
 void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> globals,
@@ -221,7 +224,7 @@ void BatchAdmmSolver::stage_buffer(Shard& shard, int buf, std::span<const int> g
   // Chained slots need no iterate staging: the wave loop's on-device chain
   // copy overwrites every iterate array (and rho) before a kernel reads
   // them, and their beta is set by the chain inheritance. When the whole
-  // buffer is chained — every ping-pong wave after the first — the 13
+  // wave is chained — every tracking wave after the first — the 13
   // iterate uploads are skipped entirely; only the per-scenario problem
   // data (loads, pg bounds, outage masks) is staged.
   bool stage_iterates = false;
@@ -358,11 +361,9 @@ void BatchAdmmSolver::run_shard_wave(int shard_id, int wave_index,
   const obs::TraceSpan wave_span("solver.wave", "wave", static_cast<std::uint64_t>(wave_index),
                                  "scenarios", static_cast<std::uint64_t>(wave.size()));
 
-  const int buf = plan_.ping_pong ? wave_index % 2 : 0;
-  const int src_buf = plan_.ping_pong ? (wave_index + 1) % 2 : 0;
-  admm::BatchAdmmState& dst_state = shard.states[static_cast<std::size_t>(buf)];
-  const admm::BatchAdmmState& src_state = shard.states[static_cast<std::size_t>(src_buf)];
-
+  // Wave d runs in buffer d % 2 and chains from its parent wave, which
+  // still sits in the other buffer.
+  const int buf = wave_index % 2;
   std::vector<ChainLink> links;
   std::vector<RampLink> ramps;
   for (const int s : wave) {
@@ -375,6 +376,8 @@ void BatchAdmmSolver::run_shard_wave(int shard_id, int wave_index,
   }
   obs::PhaseTimer chain_timer;
   if (!links.empty()) {
+    admm::BatchAdmmState& dst_state = shard.states[static_cast<std::size_t>(buf)];
+    const admm::BatchAdmmState& src_state = shard.states[static_cast<std::size_t>(1 - buf)];
     batch_chain_state(*shard.dev, model_, src_state, dst_state, links);
     for (const int s : wave) {
       const auto& sc = scenarios_[static_cast<std::size_t>(s)];
@@ -384,8 +387,8 @@ void BatchAdmmSolver::run_shard_wave(int shard_id, int wave_index,
       rho_scale_[static_cast<std::size_t>(s)] =
           rho_scale_[static_cast<std::size_t>(sc.chain_from)];
     }
+    if (!ramps.empty()) batch_apply_ramp(*shard.dev, model_, src_state, dst_state, ramps);
   }
-  if (!ramps.empty()) batch_apply_ramp(*shard.dev, model_, src_state, dst_state, ramps);
   shard.phases.chain_seconds += chain_timer.take("fused.chain");
 
   run_fused(shard, buf, wave, options);
@@ -619,8 +622,7 @@ void BatchAdmmSolver::run_fused(Shard& shard, int buf, std::span<const int> wave
 }
 
 void BatchAdmmSolver::evaluate_shard(int shard_id, int buf, std::span<const int> globals,
-                                     ScenarioReport& report, grid::Network& eval_net,
-                                     bool capture) {
+                                     ScenarioReport& report, grid::Network& eval_net) {
   if (globals.empty()) return;
   const admm::BatchAdmmState& state =
       shards_[static_cast<std::size_t>(shard_id)].states[static_cast<std::size_t>(buf)];
@@ -636,7 +638,7 @@ void BatchAdmmSolver::evaluate_shard(int shard_id, int buf, std::span<const int>
     report.records[static_cast<std::size_t>(s)] =
         make_record(s, sc, stats_[static_cast<std::size_t>(s)],
                     scenario_quality(eval_net, sc, sol));
-    if (capture) pp_solutions_[static_cast<std::size_t>(s)] = std::move(sol);
+    solutions_[static_cast<std::size_t>(s)] = std::move(sol);
   }
 }
 
@@ -647,7 +649,7 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
   if (options.trace) obs::Tracer::instance().enable();
   const obs::TraceSpan solve_span("solver.solve", "scenarios", static_cast<std::uint64_t>(S),
                                   "shards", static_cast<std::uint64_t>(num_shards()));
-  ensure_storage(options.ping_pong);
+  ensure_storage();
   report.num_shards = num_shards();
   ctrl_.assign(static_cast<std::size_t>(S), Control{});
   beta_.assign(static_cast<std::size_t>(S), 0.0);
@@ -659,7 +661,7 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
     shard.phases = PhaseBreakdown{};
     shard.fused_steps = 0;
   }
-  if (plan_.ping_pong) pp_solutions_.assign(static_cast<std::size_t>(S), grid::OpfSolution{});
+  solutions_.assign(static_cast<std::size_t>(S), grid::OpfSolution{});
   if (options.convergence_sample_interval > 0) {
     traj_.assign(static_cast<std::size_t>(S), obs::ConvergenceTrajectory{});
     tron_accum_.assign(static_cast<std::size_t>(S), 0);
@@ -686,13 +688,6 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
   if (options.warm_start_from_base) {
     base = solve_base(report);
     base_ptr = &base;
-  }
-
-  if (!plan_.ping_pong) {
-    for (int d = 0; d < num_shards(); ++d) {
-      stage_buffer(shards_[static_cast<std::size_t>(d)], 0,
-                   plan_.shard_scenarios[static_cast<std::size_t>(d)], base_ptr, options);
-    }
   }
 
   std::vector<device::LaunchStats> launches_before;
@@ -739,39 +734,25 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
   };
 
   for (int wave_index = 0; wave_index < plan_.num_waves(); ++wave_index) {
-    if (plan_.ping_pong) {
-      // Per-wave staging reuses the buffer wave_index - 2 ran in; its
-      // results were captured at that wave's end. Staging and evaluation
-      // transfers stay outside the iteration-transfer accounting window,
-      // mirroring the persistent path where both happen outside the loop.
-      const int buf = wave_index % 2;
-      for (int d = 0; d < num_shards(); ++d) {
-        stage_buffer(
-            shards_[static_cast<std::size_t>(d)], buf,
-            plan_.wave_shards[static_cast<std::size_t>(wave_index)][static_cast<std::size_t>(d)],
-            wave_index == 0 ? base_ptr : nullptr, options);
-      }
-      const auto transfers_before = device::transfer_stats();
-      WallTimer wave_timer;
-      run_wave(wave_index);
-      fused_seconds += wave_timer.seconds();
-      const auto transfers_after = device::transfer_stats();
-      loop_transfers += (transfers_after.host_to_device - transfers_before.host_to_device) +
-                        (transfers_after.device_to_host - transfers_before.device_to_host);
-      for (int d = 0; d < num_shards(); ++d) {
-        evaluate_shard(
-            d, buf,
-            plan_.wave_shards[static_cast<std::size_t>(wave_index)][static_cast<std::size_t>(d)],
-            report, eval_net, /*capture=*/true);
-      }
-    } else {
-      const auto transfers_before = device::transfer_stats();
-      WallTimer wave_timer;
-      run_wave(wave_index);
-      fused_seconds += wave_timer.seconds();
-      const auto transfers_after = device::transfer_stats();
-      loop_transfers += (transfers_after.host_to_device - transfers_before.host_to_device) +
-                        (transfers_after.device_to_host - transfers_before.device_to_host);
+    // Staging reuses the buffer wave_index - 2 ran in; its results were
+    // captured at that wave's end. Staging and evaluation transfers stay
+    // outside the iteration-transfer accounting window.
+    const int buf = wave_index % 2;
+    const auto& wave_shards = plan_.wave_shards[static_cast<std::size_t>(wave_index)];
+    for (int d = 0; d < num_shards(); ++d) {
+      stage_buffer(shards_[static_cast<std::size_t>(d)], buf,
+                   wave_shards[static_cast<std::size_t>(d)],
+                   wave_index == 0 ? base_ptr : nullptr, options);
+    }
+    const auto transfers_before = device::transfer_stats();
+    WallTimer wave_timer;
+    run_wave(wave_index);
+    fused_seconds += wave_timer.seconds();
+    const auto transfers_after = device::transfer_stats();
+    loop_transfers += (transfers_after.host_to_device - transfers_before.host_to_device) +
+                      (transfers_after.device_to_host - transfers_before.device_to_host);
+    for (int d = 0; d < num_shards(); ++d) {
+      evaluate_shard(d, buf, wave_shards[static_cast<std::size_t>(d)], report, eval_net);
     }
   }
   report.solve_seconds = fused_seconds;
@@ -784,13 +765,6 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
     report.launch_stats += report.shard_launches.back();
   }
 
-  // ---- Evaluation (persistent mode: downloads happen after the loop) ----
-  if (!plan_.ping_pong) {
-    for (int d = 0; d < num_shards(); ++d) {
-      evaluate_shard(d, 0, plan_.shard_scenarios[static_cast<std::size_t>(d)], report, eval_net,
-                     /*capture=*/false);
-    }
-  }
   report.stats = stats_;
   if (options.convergence_sample_interval > 0) report.convergence = traj_;
   for (const auto& shard : shards_) {
@@ -806,30 +780,15 @@ ScenarioReport BatchAdmmSolver::solve(const BatchSolveOptions& options) {
 grid::OpfSolution BatchAdmmSolver::solution(int s) const {
   require(s >= 0 && s < num_scenarios(), "BatchAdmmSolver::solution: scenario out of range");
   require(solved_, "BatchAdmmSolver::solution: valid only after solve()");
-  if (plan_.ping_pong) return pp_solutions_[static_cast<std::size_t>(s)];
-  // Slot-slice download: move only scenario s's data, not the batch.
-  const Shard& shard =
-      shards_[static_cast<std::size_t>(plan_.shard_of[static_cast<std::size_t>(s)])];
-  const admm::BatchAdmmState& state = shard.states.front();
-  const auto nb = static_cast<std::size_t>(model_.num_buses);
-  const auto ng = static_cast<std::size_t>(model_.num_gens);
-  const int slot = plan_.slot_of[static_cast<std::size_t>(s)];
-  std::vector<double> w(nb), theta(nb), pg(ng), qg(ng);
-  download_slot(state.bus_w, slot, w);
-  download_slot(state.bus_theta, slot, theta);
-  download_slot(state.gen_pg, slot, pg);
-  download_slot(state.gen_qg, slot, qg);
-  return slice_solution(net_, w, theta, pg, qg, /*s=*/0);
+  return solutions_[static_cast<std::size_t>(s)];
 }
 
 admm::WarmStartIterate BatchAdmmSolver::export_iterate(int s) const {
   require(s >= 0 && s < num_scenarios(), "BatchAdmmSolver::export_iterate: scenario out of range");
   require(solved_, "BatchAdmmSolver::export_iterate: valid only after solve()");
-  if (plan_.ping_pong) {
-    require(plan_.wave_of[static_cast<std::size_t>(s)] >= plan_.num_waves() - 2,
-            "BatchAdmmSolver::export_iterate: scenario's wave buffer was reused (ping-pong "
-            "keeps only the last two waves resident)");
-  }
+  require(plan_.wave_of[static_cast<std::size_t>(s)] >= plan_.num_waves() - 2,
+          "BatchAdmmSolver::export_iterate: scenario's wave buffer was reused (only the "
+          "last two waves stay resident)");
   const Shard& shard =
       shards_[static_cast<std::size_t>(plan_.shard_of[static_cast<std::size_t>(s)])];
   const admm::BatchAdmmState& state = shard.states[static_cast<std::size_t>(buffer_of(s))];
@@ -870,25 +829,9 @@ admm::WarmStartIterate BatchAdmmSolver::export_iterate(int s) const {
   return it;
 }
 
-std::vector<grid::OpfSolution> BatchAdmmSolver::solutions() const {
+const std::vector<grid::OpfSolution>& BatchAdmmSolver::solutions() const {
   require(solved_, "BatchAdmmSolver::solutions: valid only after solve()");
-  if (plan_.ping_pong) return pp_solutions_;
-  std::vector<grid::OpfSolution> result(static_cast<std::size_t>(num_scenarios()));
-  for (int d = 0; d < num_shards(); ++d) {
-    const Shard& shard = shards_[static_cast<std::size_t>(d)];
-    const auto& owned = plan_.shard_scenarios[static_cast<std::size_t>(d)];
-    if (owned.empty()) continue;
-    const admm::BatchAdmmState& state = shard.states.front();
-    const auto w = state.bus_w.to_host();
-    const auto theta = state.bus_theta.to_host();
-    const auto pg = state.gen_pg.to_host();
-    const auto qg = state.gen_qg.to_host();
-    for (const int s : owned) {
-      result[static_cast<std::size_t>(s)] =
-          slice_solution(net_, w, theta, pg, qg, plan_.slot_of[static_cast<std::size_t>(s)]);
-    }
-  }
-  return result;
+  return solutions_;
 }
 
 ScenarioReport solve_sequential(const ScenarioSet& set, const admm::AdmmParams& params,

@@ -26,9 +26,10 @@
 // Warm-start seeding: with `warm_start_from_base` the base case is solved
 // once and its full iterate fans out to every chain-root scenario; tracking
 // sequences chain period-to-period on device (state copy + ramp-bound
-// kernels), wave by wave. With `ping_pong`, chained waves run in a
-// two-buffer ping-pong pair per shard and live batch-state memory stays
-// constant in the horizon length (see scenario/batch_plan.hpp).
+// kernels), wave by wave. Waves alternate between a shard's two wave-parity
+// buffers, so live batch-state memory stays constant in the horizon length
+// (see scenario/batch_plan.hpp); each wave's solutions are captured as it
+// ends.
 #pragma once
 
 #include <span>
@@ -72,14 +73,6 @@ struct BatchSolveOptions {
   /// convergence vector stays empty). Sampling is observation-only:
   /// iterates are bit-identical with it on or off.
   int convergence_sample_interval = 0;
-  /// Two-buffer wave memory for chained sets: each shard allocates a pair
-  /// of max-wave-size states instead of one O(S) state; wave d + 1 chains
-  /// on device from wave d's buffer and reuses wave d - 1's. Live
-  /// batch-state memory is constant in the horizon length. Per-wave
-  /// results are captured at wave end, so solution()/solutions() stay
-  /// valid; export_iterate() only for the last two waves (earlier iterates
-  /// have been overwritten by design).
-  bool ping_pong = false;
 };
 
 class BatchAdmmSolver {
@@ -101,22 +94,19 @@ class BatchAdmmSolver {
   /// Solves every scenario (fused, wave by wave along warm-start chains).
   ScenarioReport solve(const BatchSolveOptions& options = {});
 
-  /// Extracts scenario s's solution (valid after solve()). Downloads only
-  /// scenario s's slices (4 transfers of one scenario's data, not
-  /// the whole batch); extracting every scenario is still cheaper via
-  /// solutions(), which amortizes one full download per buffer. In
-  /// ping-pong mode returns the copy captured at the scenario's wave end
-  /// (no transfer).
+  /// Scenario s's solution (valid after solve()): the copy captured from
+  /// the evaluation downloads at the end of its wave, so no transfer.
   [[nodiscard]] grid::OpfSolution solution(int s) const;
 
   /// Snapshots scenario s's full iterate (slice downloads only) as a
   /// portable WarmStartIterate — what the serve layer's SolutionCache
-  /// stores after a batch completes. In ping-pong mode only scenarios of
-  /// the last two waves are still resident; earlier ones throw.
+  /// stores after a batch completes. Only scenarios of the last two waves
+  /// are still resident (earlier wave buffers were reused); earlier ones
+  /// throw.
   [[nodiscard]] admm::WarmStartIterate export_iterate(int s) const;
 
-  /// Extracts every scenario's solution with one download per buffer.
-  [[nodiscard]] std::vector<grid::OpfSolution> solutions() const;
+  /// Every scenario's captured solution (no transfer).
+  [[nodiscard]] const std::vector<grid::OpfSolution>& solutions() const;
 
   [[nodiscard]] const grid::Network& network() const { return net_; }
   [[nodiscard]] const admm::ComponentModel& model() const { return model_; }
@@ -149,12 +139,13 @@ class BatchAdmmSolver {
     int max_outer_iterations = 0;
   };
 
-  /// One shard's execution context: its device, its state buffer(s) (one,
-  /// or a ping-pong pair), and per-lane scratch. Shards touch disjoint
-  /// scenarios, so they run concurrently without synchronization.
+  /// One shard's execution context: its device, its wave buffers (one per
+  /// wave parity; one for a one-wave set), and per-lane scratch. Shards
+  /// touch disjoint scenarios, so they run concurrently without
+  /// synchronization.
   struct Shard {
     device::Device* dev = nullptr;
-    std::vector<admm::BatchAdmmState> states;            ///< 1, or 2 in ping-pong
+    std::vector<admm::BatchAdmmState> states;            ///< [wave parity]
     std::vector<std::vector<admm::ScenarioView>> views;  ///< [buffer][slot]
     std::vector<admm::BranchWorkspace> branch_lanes;     ///< reused across fused steps
     admm::BranchUpdateStats branch_stats;
@@ -166,13 +157,13 @@ class BatchAdmmSolver {
     std::uint64_t fused_steps = 0;  ///< while-loop iterations executed
   };
 
-  void ensure_storage(bool ping_pong);
+  void ensure_storage();
   [[nodiscard]] int buffer_of(int s) const {
-    return plan_.ping_pong ? plan_.wave_of[static_cast<std::size_t>(s)] % 2 : 0;
+    return plan_.wave_of[static_cast<std::size_t>(s)] % 2;
   }
-  /// Solves the unmodified base case and exports its full iterate — the
-  /// same shape the cache warm start uses, so both seeds share one
-  /// staging path.
+  /// Solves the unmodified base case (a one-scenario batch on shard 0's
+  /// device) and exports its full iterate — the same shape the cache warm
+  /// start uses, so both seeds share one staging path.
   admm::WarmStartIterate solve_base(ScenarioReport& report);
   /// Stages `globals` into shard buffer `buf` (cold template, optional
   /// base fan-out / initial iterates, scenario problem data) and uploads.
@@ -183,10 +174,10 @@ class BatchAdmmSolver {
   void run_shard_wave(int shard_id, int wave_index, const BatchSolveOptions& options);
   void run_fused(Shard& shard, int buf, std::span<const int> wave,
                  const BatchSolveOptions& options);
-  /// Downloads one shard buffer and fills records (and, in ping-pong mode,
-  /// the captured per-scenario solutions).
+  /// Downloads one shard buffer, fills records and captures the
+  /// scenarios' solutions.
   void evaluate_shard(int shard_id, int buf, std::span<const int> globals,
-                      ScenarioReport& report, grid::Network& eval_net, bool capture);
+                      ScenarioReport& report, grid::Network& eval_net);
   void schedule_inner_tolerance(int s, Control& ctrl) const;
   void set_beta(int s, double value);
 
@@ -208,7 +199,7 @@ class BatchAdmmSolver {
   std::vector<double> beta_;       ///< per-scenario outer penalty (host truth)
   std::vector<double> rho_scale_;  ///< cumulative adaptive-penalty scaling
   std::vector<admm::AdmmStats> stats_;
-  std::vector<grid::OpfSolution> pp_solutions_;  ///< per-wave captures (ping-pong)
+  std::vector<grid::OpfSolution> solutions_;  ///< captured at each wave's end
   /// Convergence sampling state (empty unless
   /// options.convergence_sample_interval > 0): per-scenario trajectories
   /// and cumulative branch TRON iterations. Shards own disjoint scenarios,

@@ -629,8 +629,8 @@ SolveService::BatchOutcome SolveService::process_batch(Batch work, int shard) {
       obs::instant("serve.deadline_shed", "req", p.id, "batch", ctx.batch_id);
       if (slo_ != nullptr) slo_->record_deadline_shed(ctx.dispatch_time);
       ++ctx.deadline_shed;
-      p.promise.set_exception(std::make_exception_ptr(
-          DeadlineError("SolveService: request deadline expired while queued")));
+      p.error = std::make_exception_ptr(
+          DeadlineError("SolveService: request deadline expired while queued"));
       continue;
     }
     members.push_back(i);
@@ -640,49 +640,62 @@ SolveService::BatchOutcome SolveService::process_batch(Batch work, int shard) {
   if (!members.empty()) solve_group(batch, std::move(members), ctx);
 
   // ---- Commit the batch's telemetry under one lock ----
-  const std::lock_guard<std::mutex> lock(mu_);
-  auto& shard_stats = live_.per_shard[static_cast<std::size_t>(shard)];
-  // Requests that reached the solve stage (formation failures fell out).
-  const std::size_t solved_for =
-      ctx.accepted >= ctx.failed_form ? ctx.accepted - ctx.failed_form : 0;
-  live_.completed += ctx.completed;
-  if (ctx.completed > 0) m_completed_->inc(ctx.completed);
-  live_.completed_admm += ctx.completed_admm;
-  live_.completed_escalated_admm += ctx.completed_escalated_admm;
-  live_.completed_ipm += ctx.completed_ipm;
-  if (ctx.completed_admm > 0) m_engine_completed_[0]->inc(ctx.completed_admm);
-  if (ctx.completed_escalated_admm > 0) m_engine_completed_[1]->inc(ctx.completed_escalated_admm);
-  if (ctx.completed_ipm > 0) m_engine_completed_[2]->inc(ctx.completed_ipm);
-  live_.ipm_attempts += ctx.ipm_attempts;
-  live_.ipm_failures += ctx.ipm_failures;
-  if (ctx.ipm_failures > 0) m_ipm_failures_->inc(ctx.ipm_failures);
-  const std::size_t failed = ctx.failed_form + ctx.failed_solve;
-  live_.failed += failed;
-  if (failed > 0) m_failed_->inc(failed);
-  if (ctx.failed_form > 0) m_failed_form_->inc(ctx.failed_form);
-  if (ctx.failed_solve > 0) m_failed_solve_->inc(ctx.failed_solve);
-  live_.deadline_shed += ctx.deadline_shed;
-  if (ctx.deadline_shed > 0) m_deadline_shed_->inc(ctx.deadline_shed);
-  const std::uint64_t retries =
-      ctx.attempts > 0 ? static_cast<std::uint64_t>(ctx.attempts) - 1 : 0;
-  live_.retries += retries;
-  if (retries > 0) m_retries_->inc(retries);
-  live_.bisections += ctx.bisections;
-  live_.escalation_retries += ctx.escalations;
-  live_.escalation_recovered += ctx.escalations_recovered;
-  if (ctx.escalations > 0) m_escalations_->inc(ctx.escalations);
-  if (solved_for > 0) {
-    ++live_.batches;
-    m_batches_->inc();
-    m_occupancy_->observe(static_cast<double>(solved_for));
-    ++shard_stats.batches;
-    shard_stats.requests += solved_for;
-    const auto slot = std::min(solved_for, static_cast<std::size_t>(options_.max_batch_size));
-    ++live_.batch_occupancy[slot - 1];
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    auto& shard_stats = live_.per_shard[static_cast<std::size_t>(shard)];
+    // Requests that reached the solve stage (formation failures fell out).
+    const std::size_t solved_for =
+        ctx.accepted >= ctx.failed_form ? ctx.accepted - ctx.failed_form : 0;
+    live_.completed += ctx.completed;
+    if (ctx.completed > 0) m_completed_->inc(ctx.completed);
+    live_.completed_admm += ctx.completed_admm;
+    live_.completed_escalated_admm += ctx.completed_escalated_admm;
+    live_.completed_ipm += ctx.completed_ipm;
+    if (ctx.completed_admm > 0) m_engine_completed_[0]->inc(ctx.completed_admm);
+    if (ctx.completed_escalated_admm > 0) {
+      m_engine_completed_[1]->inc(ctx.completed_escalated_admm);
+    }
+    if (ctx.completed_ipm > 0) m_engine_completed_[2]->inc(ctx.completed_ipm);
+    live_.ipm_attempts += ctx.ipm_attempts;
+    live_.ipm_failures += ctx.ipm_failures;
+    if (ctx.ipm_failures > 0) m_ipm_failures_->inc(ctx.ipm_failures);
+    const std::size_t failed = ctx.failed_form + ctx.failed_solve;
+    live_.failed += failed;
+    if (failed > 0) m_failed_->inc(failed);
+    if (ctx.failed_form > 0) m_failed_form_->inc(ctx.failed_form);
+    if (ctx.failed_solve > 0) m_failed_solve_->inc(ctx.failed_solve);
+    live_.deadline_shed += ctx.deadline_shed;
+    if (ctx.deadline_shed > 0) m_deadline_shed_->inc(ctx.deadline_shed);
+    const std::uint64_t retries =
+        ctx.attempts > 0 ? static_cast<std::uint64_t>(ctx.attempts) - 1 : 0;
+    live_.retries += retries;
+    if (retries > 0) m_retries_->inc(retries);
+    live_.bisections += ctx.bisections;
+    live_.escalation_retries += ctx.escalations;
+    live_.escalation_recovered += ctx.escalations_recovered;
+    if (ctx.escalations > 0) m_escalations_->inc(ctx.escalations);
+    if (solved_for > 0) {
+      ++live_.batches;
+      m_batches_->inc();
+      m_occupancy_->observe(static_cast<double>(solved_for));
+      ++shard_stats.batches;
+      shard_stats.requests += solved_for;
+      const auto slot = std::min(solved_for, static_cast<std::size_t>(options_.max_batch_size));
+      ++live_.batch_occupancy[slot - 1];
+    }
+    live_.launch_stats += ctx.launches;
+    shard_stats.launch_stats += ctx.launches;
+    for (const double latency : ctx.latencies) record_latency_locked(latency);
   }
-  live_.launch_stats += ctx.launches;
-  shard_stats.launch_stats += ctx.launches;
-  for (const double latency : ctx.latencies) record_latency_locked(latency);
+
+  // ---- Fulfil every future, only now that its telemetry is committed ----
+  for (Pending& p : batch) {
+    if (p.error) {
+      p.promise.set_exception(p.error);
+    } else if (p.result) {
+      p.promise.set_value(std::move(*p.result));
+    }
+  }
 
   BatchOutcome outcome;
   outcome.transient_attempts = ctx.transient_attempts;
@@ -877,8 +890,8 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
         obs::instant("serve.deadline_shed", "req", p.id, "batch", ctx.batch_id);
         ++ctx.deadline_shed;
         resolved[s] = 1;
-        p.promise.set_exception(std::make_exception_ptr(DeadlineError(
-            "SolveService: request deadline expired at escalation pickup")));
+        p.error = std::make_exception_ptr(
+            DeadlineError("SolveService: request deadline expired at escalation pickup"));
       };
       for (std::size_t s = 0; s < members.size(); ++s) {
         if (report.records[s].converged) continue;
@@ -1007,12 +1020,12 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
   ctx.launches += attempt_launches;
   ctx.solved_any = true;
 
-  // ---- Fulfill futures ----
+  // ---- Settle results (process_batch fulfils them after its commit) ----
   const double completion_time = clock_->now();
   std::uint64_t last_fulfill_ns = extract_ns;
   for (std::size_t s = 0; s < members.size(); ++s) {
     // Slots the escalation ladder already settled (deadline shed at rung
-    // pickup, typed IPM failure) carry no future to fulfill here.
+    // pickup, typed IPM failure) carry no result to settle here.
     if (resolved[s]) continue;
     Pending& p = batch[members[s]];
     SolveResult result;
@@ -1059,7 +1072,7 @@ void SolveService::attempt_members(std::vector<Pending>& batch,
       case SolveEngine::kEscalatedAdmm: ++ctx.completed_escalated_admm; break;
       case SolveEngine::kIpm: ++ctx.completed_ipm; break;
     }
-    p.promise.set_value(std::move(result));
+    p.result = std::move(result);
   }
   if (ctx.timeline_on) {
     obs::span_between("serve.fulfill", extract_ns, last_fulfill_ns, "batch", ctx.batch_id,
@@ -1088,7 +1101,7 @@ void SolveService::fail_request(Pending& p, std::exception_ptr error, bool reach
     ++ctx.failed_form;
   }
   obs::instant("serve.fail.req", "req", p.id, "batch", ctx.batch_id);
-  p.promise.set_exception(std::move(error));
+  p.error = std::move(error);
 }
 
 void SolveService::drain() {

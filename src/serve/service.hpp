@@ -45,6 +45,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -240,6 +241,11 @@ class SolveService {
     /// reused across retries/bisection so re-attempts stay deterministic.
     CacheHit seed;
     bool seed_resolved = false;
+    /// The request's outcome, held until process_batch has committed the
+    /// batch's telemetry under mu_; only then is the promise fulfilled, so
+    /// a caller woken by its future always finds itself in stats().
+    std::optional<SolveResult> result;
+    std::exception_ptr error;
   };
 
   /// One popped micro-batch, routed to a shard's solve worker.
@@ -310,14 +316,14 @@ class SolveService {
   BatchOutcome process_batch(Batch batch, int shard);
   /// Solves `members` (indices into `batch`) as one group: retry with
   /// backoff on TransientDeviceError, bisect on permanent errors until the
-  /// poison request fails alone. Fulfills every member's future.
+  /// poison request fails alone. Settles every member's outcome.
   void solve_group(std::vector<Pending>& batch, std::vector<std::size_t> members,
                    BatchContext& ctx);
-  /// One fused solve over `members`; fulfills futures on success, throws
-  /// the solver's error on failure (futures untouched).
+  /// One fused solve over `members`; settles their outcomes on success,
+  /// throws the solver's error on failure (outcomes untouched).
   void attempt_members(std::vector<Pending>& batch, const std::vector<std::size_t>& members,
                        const scenario::ScenarioSet& set, BatchContext& ctx);
-  /// Fails one request's future with `error`, stamping its timeline and
+  /// Settles one request as failed with `error`, stamping its timeline and
   /// stage histograms so failure is visible, not absent (ISSUE 9).
   void fail_request(Pending& p, std::exception_ptr error, bool reached_solve,
                     BatchContext& ctx);

@@ -202,9 +202,10 @@ TEST(BatchAdmm, MixedFamilyBatchSolvesEveryScenario) {
   EXPECT_GT(report.scenarios_per_second(), 0.0);
 }
 
-TEST(BatchAdmm, SolutionSliceDownloadsOnlyOneScenario) {
-  // solution(s) must move exactly scenario s's slices — four
-  // transfers of one scenario's data — not the whole batch state.
+TEST(BatchAdmm, SolutionReadsTheWaveEndCaptureWithoutTransfers) {
+  // solution(s) returns the copy captured from the evaluation downloads at
+  // the end of s's wave: no transfer, and bit for bit what solutions()
+  // returns.
   const auto net = grid::load_embedded_case("case9");
   const auto params = admm::params_for_case("case9", net.num_buses());
   ScenarioSet set(net);
@@ -213,25 +214,16 @@ TEST(BatchAdmm, SolutionSliceDownloadsOnlyOneScenario) {
   solver.solve();
 
   device::TransferStatsScope scope;
-  const auto sliced = solver.solution(2);
+  const auto single = solver.solution(2);
   const auto delta = scope.delta();
-  EXPECT_EQ(delta.device_to_host, 4u);  // bus_w, bus_theta, gen_pg, gen_qg
+  EXPECT_EQ(delta.device_to_host, 0u);
   EXPECT_EQ(delta.host_to_device, 0u);
-  const auto expected_bytes =
-      sizeof(double) * (2u * static_cast<std::size_t>(net.num_buses()) +
-                        2u * static_cast<std::size_t>(net.num_generators()));
-  EXPECT_EQ(delta.bytes, expected_bytes);  // one scenario, not S of them
 
-  // And the slice matches the bulk extraction bit for bit.
-  const auto all = solver.solutions();
-  for (int b = 0; b < net.num_buses(); ++b) {
-    EXPECT_DOUBLE_EQ(sliced.vm[static_cast<std::size_t>(b)], all[2].vm[static_cast<std::size_t>(b)]);
-    EXPECT_DOUBLE_EQ(sliced.va[static_cast<std::size_t>(b)], all[2].va[static_cast<std::size_t>(b)]);
-  }
-  for (int g = 0; g < net.num_generators(); ++g) {
-    EXPECT_DOUBLE_EQ(sliced.pg[static_cast<std::size_t>(g)], all[2].pg[static_cast<std::size_t>(g)]);
-    EXPECT_DOUBLE_EQ(sliced.qg[static_cast<std::size_t>(g)], all[2].qg[static_cast<std::size_t>(g)]);
-  }
+  const auto& all = solver.solutions();
+  EXPECT_EQ(single.vm, all[2].vm);
+  EXPECT_EQ(single.va, all[2].va);
+  EXPECT_EQ(single.pg, all[2].pg);
+  EXPECT_EQ(single.qg, all[2].qg);
 }
 
 TEST(BatchAdmm, InitialIterateMatchesSingleSolverImportExactly) {
@@ -468,35 +460,31 @@ TEST(BatchPlan, RoundRobinRootsAreDeterministicAndChildrenFollowParents) {
   scenarios[6].chain_from = 3;
   const std::vector<std::vector<int>> waves = {{0, 1, 2, 3}, {4, 6}, {5}};
 
-  const auto plan = BatchPlan::create(scenarios, waves, 3, /*ping_pong=*/false);
+  const auto plan = BatchPlan::create(scenarios, waves, 3);
   // Roots deal round-robin in scenario order: 0->0, 1->1, 2->2, 3->0.
   EXPECT_EQ(plan.shard_of, (std::vector<int>{0, 1, 2, 0, 1, 1, 0}));
-  // Slots are contiguous per shard, in scenario order.
-  EXPECT_EQ(plan.slot_of[0], 0);
-  EXPECT_EQ(plan.slot_of[3], 1);
-  EXPECT_EQ(plan.slot_of[6], 2);
-  EXPECT_EQ(plan.slot_of[1], 0);
-  EXPECT_EQ(plan.slot_of[4], 1);
-  EXPECT_EQ(plan.slot_of[5], 2);
-  EXPECT_EQ(plan.shard_capacity, (std::vector<int>{3, 3, 1}));
+  // Slots are per wave: rank within (wave, shard), in scenario order.
+  EXPECT_EQ(plan.slot_of, (std::vector<int>{0, 0, 0, 1, 0, 0, 0}));
+  EXPECT_EQ(plan.wave_of, (std::vector<int>{0, 0, 0, 0, 1, 2, 1}));
+  // Buffer b holds the shard's largest wave of parity b.
+  EXPECT_EQ(plan.buffer_capacity,
+            (std::vector<std::vector<int>>{{2, 1}, {1, 1}, {1, 0}}));
   // Identical inputs give an identical plan (deterministic assignment).
-  const auto again = BatchPlan::create(scenarios, waves, 3, /*ping_pong=*/false);
+  const auto again = BatchPlan::create(scenarios, waves, 3);
   EXPECT_EQ(again.shard_of, plan.shard_of);
   EXPECT_EQ(again.slot_of, plan.slot_of);
 
-  // Ping-pong slots are per-wave; capacity is the largest wave per shard.
-  const auto pp = BatchPlan::create(scenarios, waves, 3, /*ping_pong=*/true);
-  EXPECT_EQ(pp.shard_of, plan.shard_of);
-  EXPECT_EQ(pp.shard_capacity, (std::vector<int>{2, 1, 1}));
-  EXPECT_EQ(pp.slot_of[0], 0);
-  EXPECT_EQ(pp.slot_of[3], 1);  // same wave, same shard as 0
-  EXPECT_EQ(pp.slot_of[6], 0);  // wave 1 reuses shard 0's slots
+  // A one-wave set gets one buffer per shard, one slot per scenario.
+  const std::vector<std::vector<int>> one_wave = {{0, 1, 2, 3}};
+  const auto flat = BatchPlan::create(std::span(scenarios).first(4), one_wave, 3);
+  EXPECT_EQ(flat.num_buffers(), 1);
+  EXPECT_EQ(flat.buffer_capacity, (std::vector<std::vector<int>>{{2}, {1}, {1}}));
 }
 
-TEST(BatchAdmm, PingPongChainedSolveMatchesPersistentPath) {
-  // Two-buffer wave memory must not change a single iterate: same
-  // iteration counts, residuals, and objectives as the persistent layout,
-  // for every period of every profile.
+TEST(BatchAdmm, ChainedWaveBuffersMatchSequentialReference) {
+  // Waves alternating between two buffers, chained on device, must walk
+  // the reference's iterates: same iteration counts and residuals, for
+  // every period of every profile.
   const auto net = grid::load_embedded_case("case9");
   const auto params = admm::params_for_case("case9", net.num_buses());
   ScenarioSet set(net);
@@ -507,44 +495,32 @@ TEST(BatchAdmm, PingPongChainedSolveMatchesPersistentPath) {
     set.add_tracking_sequence(spec, 0.02);
   }
 
-  BatchAdmmSolver persistent(set, params);
-  const auto flat = persistent.solve();
+  const auto sequential = solve_sequential(set, params);
   BatchAdmmSolver solver(set, params);
-  BatchSolveOptions options;
-  options.ping_pong = true;
-  const auto pp = solver.solve(options);
+  const auto batched = solver.solve();
 
-  ASSERT_EQ(pp.records.size(), flat.records.size());
+  ASSERT_EQ(batched.records.size(), sequential.records.size());
   for (int s = 0; s < set.size(); ++s) {
     SCOPED_TRACE("scenario " + std::to_string(s));
-    EXPECT_EQ(pp.records[s].inner_iterations, flat.records[s].inner_iterations);
-    EXPECT_EQ(pp.records[s].outer_iterations, flat.records[s].outer_iterations);
-    EXPECT_DOUBLE_EQ(pp.records[s].primal_residual, flat.records[s].primal_residual);
-    EXPECT_LT(rel_diff(pp.records[s].objective, flat.records[s].objective), 1e-6);
+    EXPECT_EQ(batched.records[s].inner_iterations, sequential.records[s].inner_iterations);
+    EXPECT_EQ(batched.records[s].outer_iterations, sequential.records[s].outer_iterations);
+    EXPECT_DOUBLE_EQ(batched.records[s].primal_residual, sequential.records[s].primal_residual);
+    EXPECT_DOUBLE_EQ(batched.records[s].dual_residual, sequential.records[s].dual_residual);
+    EXPECT_LT(rel_diff(batched.records[s].objective, sequential.records[s].objective), 1e-6);
   }
-  // Captured solutions match the persistent extraction bit for bit.
-  const auto flat_solutions = persistent.solutions();
-  const auto pp_solutions = solver.solutions();
-  for (int s = 0; s < set.size(); ++s) {
-    for (int b = 0; b < net.num_buses(); ++b) {
-      EXPECT_DOUBLE_EQ(pp_solutions[s].vm[static_cast<std::size_t>(b)],
-                       flat_solutions[s].vm[static_cast<std::size_t>(b)]);
-    }
-  }
-  // Last-wave iterates are still resident and exportable; earlier waves
-  // have been overwritten by design.
+  // Last-wave iterates are still resident and exportable; earlier waves'
+  // buffers have been reused by design.
   EXPECT_NO_THROW(solver.export_iterate(set.size() - 1));
   EXPECT_THROW(solver.export_iterate(0), GridError);
 }
 
-TEST(BatchAdmm, PingPongHoldsBatchMemoryConstantInHorizonLength) {
-  // The memory acceptance bar, via DeviceBuffer allocation accounting:
-  // doubling the horizon must not grow peak live batch-state memory in
-  // ping-pong mode, while the persistent layout grows linearly.
+TEST(BatchAdmm, WaveBuffersHoldBatchMemoryConstantInHorizonLength) {
+  // The memory bar, via DeviceBuffer allocation accounting: doubling the
+  // horizon must not grow peak live batch-state memory.
   const auto net = grid::load_embedded_case("case9");
   const auto params = admm::params_for_case("case9", net.num_buses());
 
-  auto peak_for = [&](int periods, bool ping_pong) {
+  auto peak_for = [&](int periods) {
     ScenarioSet set(net);
     grid::LoadProfileSpec spec;
     spec.periods = periods;
@@ -553,19 +529,23 @@ TEST(BatchAdmm, PingPongHoldsBatchMemoryConstantInHorizonLength) {
     const auto live_before = device::allocation_stats().live_bytes;
     device::reset_allocation_peak();
     BatchAdmmSolver solver(set, params);
-    BatchSolveOptions options;
-    options.ping_pong = ping_pong;
-    solver.solve(options);
+    solver.solve();
     return device::allocation_stats().peak_bytes - live_before;
   };
+  EXPECT_EQ(peak_for(8), peak_for(4));
 
-  const auto pp4 = peak_for(4, true);
-  const auto pp8 = peak_for(8, true);
-  const auto flat4 = peak_for(4, false);
-  const auto flat8 = peak_for(8, false);
-  EXPECT_EQ(pp8, pp4);     // constant in the number of periods
-  EXPECT_GT(flat8, flat4); // the persistent layout grows with the horizon...
-  EXPECT_GT(flat8, pp8);   // ...and exceeds the two-buffer ping-pong pair
+  // An uneven set — 5 load scales beside a 4-period sequence, waves
+  // [6, 1, 1, 1] — holds 6 + 1 slots, never more than its scenarios.
+  ScenarioSet uneven(net);
+  uneven.add_load_scale(5, 0.95, 1.05);
+  grid::LoadProfileSpec spec;
+  spec.periods = 4;
+  uneven.add_tracking_sequence(spec, 0.02);
+  BatchAdmmSolver solver(uneven, params);
+  solver.solve();
+  const auto& capacity = solver.plan().buffer_capacity.front();
+  EXPECT_EQ(capacity, (std::vector<int>{6, 1}));
+  EXPECT_LE(capacity[0] + capacity[1], uneven.size());
 }
 
 TEST(BatchAdmm, SteadyStateSolveAllocatesNoDeviceMemory) {

@@ -16,6 +16,8 @@
 #include "common/timer.hpp"
 #include "device/device.hpp"
 #include "grid/cases.hpp"
+#include "scenario/batch_solver.hpp"
+#include "scenario/scenario_set.hpp"
 #include "tron/small_tron.hpp"
 
 // ---- Host heap allocation counter ----
@@ -224,6 +226,39 @@ TEST(HostAllocations, SteadyStateAdmmIterationsAllocateNothing) {
   const auto short_solve = allocations_in_solve(50);
   const auto long_solve = allocations_in_solve(200);
   EXPECT_EQ(short_solve, long_solve) << "allocations grow with the inner iteration count";
+}
+
+TEST(HostAllocations, SteadyStateBatchIterationsAllocateNothing) {
+  // The production engine's steady state: a warmed BatchAdmmSolver running
+  // a fixed number of inner iterations (unreachable tolerances, one outer
+  // iteration) must allocate the same at 50 and 200 of them, at S = 1 and
+  // S = 4, with the kernels on two worker threads.
+  const auto net = grid::load_embedded_case("case30");
+  auto params = admm::params_for_case("case30", 30);
+  params.max_outer_iterations = 1;
+  params.inner_tolerance_initial = 0.0;
+  params.primal_tolerance = 0.0;
+  params.dual_tolerance = 0.0;
+  device::Device dev(2);
+  for (const int scenarios : {1, 4}) {
+    SCOPED_TRACE("S = " + std::to_string(scenarios));
+    scenario::ScenarioSet set(net);
+    set.add_load_scale(scenarios, 0.98, 1.02);
+    auto allocations_in_solve = [&](int inner) {
+      params.max_inner_iterations = inner;
+      scenario::BatchAdmmSolver solver(set, params, &dev);
+      solver.solve();  // first solve sizes the wave buffers and branch lanes
+      const auto before = allocations();
+      const auto report = solver.solve();
+      const auto used = allocations() - before;
+      for (const auto& record : report.records) EXPECT_EQ(record.inner_iterations, inner);
+      EXPECT_GT(report.branch.tron_iterations, inner);
+      return used;
+    };
+    const auto short_solve = allocations_in_solve(50);
+    const auto long_solve = allocations_in_solve(200);
+    EXPECT_EQ(short_solve, long_solve) << "allocations grow with the inner iteration count";
+  }
 }
 
 TEST(Table, RendersAlignedRows) {

@@ -191,6 +191,43 @@ TEST(SolveService, CacheHitWarmStartReducesIterations) {
   EXPECT_DOUBLE_EQ(stats.cache_hit_rate(), 0.5);
 }
 
+TEST(SolveService, StatsCountEveryRequestBeforeItsFutureIsFulfilled) {
+  // A batch's futures are fulfilled only after its telemetry is committed,
+  // so stats() read straight after get() — no drain() — already counts the
+  // request: completion, engine split, latency sample. Batches of four
+  // leave three more results to settle after the first one, the window in
+  // which a fulfil-then-commit order would read a stale count.
+  const auto net = grid::load_embedded_case("case9");
+  const auto params = admm::params_for_case("case9", net.num_buses());
+  const auto loads = base_loads(net);
+
+  ServiceOptions options;
+  options.max_batch_size = 4;
+  options.batching_window_seconds = 0.05;
+  options.cache.capacity = 0;
+  SolveService service(net, params, options);
+  std::uint64_t received = 0;
+  for (int round = 0; round < 3; ++round) {
+    std::vector<std::future<SolveResult>> futures;
+    for (int i = 0; i < 4; ++i) {
+      SolveRequest request;
+      request.pd = scaled(loads.pd, 0.96 + 0.02 * i);
+      request.qd = scaled(loads.qd, 0.96 + 0.02 * i);
+      futures.push_back(service.submit(std::move(request)));
+    }
+    for (auto& future : futures) {
+      ASSERT_TRUE(future.get().converged);
+      ++received;
+      const auto stats = service.stats();
+      SCOPED_TRACE("round " + std::to_string(round) + ", result " + std::to_string(received));
+      EXPECT_GE(stats.completed, received);
+      EXPECT_EQ(stats.completed,
+                stats.completed_admm + stats.completed_escalated_admm + stats.completed_ipm);
+      EXPECT_EQ(stats.latency_samples, stats.completed);
+    }
+  }
+}
+
 TEST(SolveService, BypassCacheSkipsLookupAndInsertion) {
   const auto net = grid::load_embedded_case("case9");
   const auto params = admm::params_for_case("case9", net.num_buses());

@@ -7,9 +7,22 @@
 #include "device/pool.hpp"
 #include "grid/cases.hpp"
 #include "opf/tracking.hpp"
+#include "scenario/batch_solver.hpp"
+#include "scenario/scenario_set.hpp"
 
 namespace gridadmm::opf {
 namespace {
+
+/// The chain TrackingSimulator solves for `options` (its first profile).
+scenario::ScenarioSet simulator_chain(const grid::Network& net, const TrackingOptions& options) {
+  scenario::ScenarioSet set(net);
+  grid::LoadProfileSpec spec;
+  spec.periods = options.periods;
+  spec.max_drift = options.max_drift;
+  spec.seed = options.profile_seed;
+  set.add_tracking_sequence(spec, options.ramp_fraction);
+  return set;
+}
 
 TEST(Tracking, ProducesOneRecordPerPeriod) {
   const auto net = grid::load_embedded_case("case9");
@@ -43,44 +56,57 @@ TEST(Tracking, WarmPeriodsAreCheaperThanColdStart) {
 }
 
 TEST(Tracking, RampLimitsRestrictDispatchChanges) {
+  // The simulator's horizon is this chain on the batch engine; its
+  // dispatch must respect |pg_t - pg_{t-1}| <= ramp_fraction * Pmax.
   const auto net = grid::load_embedded_case("case9");
+  const auto params = admm::params_for_case("case9", 9);
   TrackingOptions options;
   options.periods = 4;
   options.run_ipm = false;
   options.ramp_fraction = 0.02;
-  TrackingSimulator sim(net, admm::params_for_case("case9", 9), options);
+  TrackingSimulator sim(net, params, options);
+  const auto records = sim.run();
 
-  // Re-run manually to capture dispatch: use the solver API directly.
-  admm::AdmmSolver solver(net, admm::params_for_case("case9", 9));
-  std::vector<double> prev_pg;
-  const auto& profile = sim.load_profile();
-  std::vector<double> pd(net.num_buses()), qd(net.num_buses());
-  std::vector<double> pmin(net.num_generators()), pmax(net.num_generators());
+  const auto set = simulator_chain(net, options);
+  scenario::BatchAdmmSolver solver(set, params);
+  const auto report = solver.solve();
+  const auto& solutions = solver.solutions();
   for (int t = 0; t < options.periods; ++t) {
-    for (int i = 0; i < net.num_buses(); ++i) {
-      pd[i] = net.buses[i].pd * profile[t];
-      qd[i] = net.buses[i].qd * profile[t];
-    }
+    SCOPED_TRACE("period " + std::to_string(t + 1));
+    EXPECT_DOUBLE_EQ(set[t].load_scale, sim.load_profile()[t]);
+    EXPECT_EQ(report.records[t].inner_iterations, records[t].admm_iterations);
+    if (t == 0) continue;
     for (int g = 0; g < net.num_generators(); ++g) {
       const double ramp = options.ramp_fraction * net.generators[g].pmax;
-      pmin[g] = t == 0 ? net.generators[g].pmin
-                       : std::max(net.generators[g].pmin, prev_pg[g] - ramp);
-      pmax[g] = t == 0 ? net.generators[g].pmax
-                       : std::min(net.generators[g].pmax, prev_pg[g] + ramp);
+      EXPECT_LE(std::abs(solutions[t].pg[g] - solutions[t - 1].pg[g]), ramp + 1e-6)
+          << "gen " << g;
     }
-    solver.set_loads(pd, qd);
-    solver.set_generator_pg_bounds(pmin, pmax);
-    if (t > 0) solver.prepare_warm_start();
-    solver.solve();
-    const auto pg = solver.solution().pg;
-    if (t > 0) {
-      for (int g = 0; g < net.num_generators(); ++g) {
-        const double ramp = options.ramp_fraction * net.generators[g].pmax;
-        EXPECT_LE(std::abs(pg[g] - prev_pg[g]), ramp + 1e-6)
-            << "gen " << g << " period " << t + 1;
-      }
-    }
-    prev_pg = pg;
+  }
+}
+
+TEST(Tracking, SimulatorMatchesSequentialReference) {
+  // The simulator runs its ADMM horizon on the batch engine; the reference
+  // (one AdmmSolver per period, each warm started from a copy of the
+  // previous one) must agree period for period on the same chain.
+  const auto net = grid::load_embedded_case("case9");
+  const auto params = admm::params_for_case("case9", 9);
+  TrackingOptions options;
+  options.periods = 5;
+  options.run_ipm = false;
+  options.profile_seed = 11;
+  TrackingSimulator sim(net, params, options);
+  const auto records = sim.run();
+
+  const auto set = simulator_chain(net, options);
+  const auto reference = scenario::solve_sequential(set, params);
+  ASSERT_EQ(records.size(), reference.records.size());
+  for (std::size_t t = 0; t < records.size(); ++t) {
+    SCOPED_TRACE("period " + std::to_string(t + 1));
+    EXPECT_DOUBLE_EQ(records[t].load_scale, set[static_cast<int>(t)].load_scale);
+    EXPECT_EQ(records[t].admm_iterations, reference.records[t].inner_iterations);
+    EXPECT_EQ(records[t].admm_converged, reference.records[t].converged);
+    EXPECT_DOUBLE_EQ(records[t].admm_objective, reference.records[t].objective);
+    EXPECT_DOUBLE_EQ(records[t].admm_violation, reference.records[t].max_violation);
   }
 }
 
@@ -98,47 +124,22 @@ TEST(Tracking, BaselineComparisonFillsGapColumn) {
   }
 }
 
-TEST(Tracking, BatchedPingPongMatchesPersistentLayoutAndCapsMemory) {
-  // run_batched_tracking defaults to ping-pong wave memory; the records
-  // must be identical to the persistent layout, and the live batch-state
-  // footprint must stay constant in the number of periods.
+TEST(Tracking, BatchedTrackingCapsMemoryInHorizonLength) {
+  // The live batch-state footprint of batched tracking must stay constant
+  // in the number of periods: two wave buffers, whatever the horizon.
   const auto net = grid::load_embedded_case("case9");
   const auto params = admm::params_for_case("case9", net.num_buses());
-
-  TrackingOptions flat_options;
-  flat_options.periods = 5;
-  flat_options.run_ipm = false;
-  flat_options.ping_pong = false;
-  const auto flat = run_batched_tracking(net, params, flat_options, 2);
-
-  TrackingOptions pp_options = flat_options;
-  pp_options.ping_pong = true;
-  const auto live_before = device::allocation_stats().live_bytes;
-  device::reset_allocation_peak();
-  const auto pp = run_batched_tracking(net, params, pp_options, 2);
-  const auto pp_peak = device::allocation_stats().peak_bytes - live_before;
-
-  ASSERT_EQ(pp.profiles.size(), flat.profiles.size());
-  for (std::size_t p = 0; p < pp.profiles.size(); ++p) {
-    ASSERT_EQ(pp.profiles[p].size(), flat.profiles[p].size());
-    for (std::size_t t = 0; t < pp.profiles[p].size(); ++t) {
-      SCOPED_TRACE("profile " + std::to_string(p) + " period " + std::to_string(t));
-      EXPECT_EQ(pp.profiles[p][t].admm_iterations, flat.profiles[p][t].admm_iterations);
-      EXPECT_EQ(pp.profiles[p][t].admm_converged, flat.profiles[p][t].admm_converged);
-      EXPECT_LT(std::abs(pp.profiles[p][t].admm_objective - flat.profiles[p][t].admm_objective) /
-                    flat.profiles[p][t].admm_objective,
-                1e-6);
-    }
-  }
-
-  // Doubling the horizon must not grow the ping-pong peak.
-  TrackingOptions longer = pp_options;
-  longer.periods = 10;
-  const auto live_before_long = device::allocation_stats().live_bytes;
-  device::reset_allocation_peak();
-  run_batched_tracking(net, params, longer, 2);
-  const auto long_peak = device::allocation_stats().peak_bytes - live_before_long;
-  EXPECT_EQ(long_peak, pp_peak);
+  auto peak_for = [&](int periods) {
+    TrackingOptions options;
+    options.periods = periods;
+    options.run_ipm = false;
+    const auto live_before = device::allocation_stats().live_bytes;
+    device::reset_allocation_peak();
+    const auto result = run_batched_tracking(net, params, options, 2);
+    EXPECT_EQ(result.profiles.front().size(), static_cast<std::size_t>(periods));
+    return device::allocation_stats().peak_bytes - live_before;
+  };
+  EXPECT_EQ(peak_for(10), peak_for(5));
 }
 
 TEST(Tracking, BatchedTrackingOverDevicePoolMatchesSingleDevice) {
